@@ -68,9 +68,11 @@ class _Parser(argparse.ArgumentParser):
 def thread_cap():
     """Validated value of the parallelism cap variable (None when unset).
 
-    The computations in this package run sequentially, which satisfies any
-    cap; the variable is validated here so misconfiguration fails loudly
-    instead of silently doing nothing.
+    The package starts no threads or processes of its own, but the OpenBLAS
+    builds under numpy and scipy thread the d x d matrix products, one
+    thread per core by default; ``OPENBLAS_NUM_THREADS`` caps those threads.
+    This variable does not set that cap; it is validated here so
+    misconfiguration fails loudly instead of silently doing nothing.
     """
     raw = os.environ.get(THREADS_VAR)
     if raw is None:

@@ -209,6 +209,8 @@ class OperatorField:
             raise ValidationError(
                 f"operator field returned shape {mat.shape}, expected {(self.dim, self.dim)}"
             )
+        if not np.isfinite(mat).all():
+            raise ValidationError(f"operator field is not finite at t={t!r}, a={a!r}")
         return mat
 
     @property
@@ -230,6 +232,8 @@ class BirthKernel:
             raise ValidationError(
                 f"birth kernel returned shape {mat.shape}, expected {(self.dim, self.dim)}"
             )
+        if not np.isfinite(mat).all():
+            raise ValidationError(f"birth kernel is not finite at a={a!r}")
         return mat
 
 
@@ -278,16 +282,20 @@ class StabilityConstants:
 _NORM_TAGS = ("one", "two", "max")
 
 
+def _norms(v, tag, axis=None):
+    """Spatial norm selected by tag, of all of v or of each slice along axis."""
+    if tag == "one":
+        return np.sum(np.abs(v), axis=axis)
+    if tag == "two":
+        return np.linalg.norm(v, axis=axis)
+    if tag == "max":
+        return np.max(np.abs(v), axis=axis, initial=0.0)
+    raise ValidationError(f"unknown spatial norm tag {tag!r}")
+
+
 def spatial_norm(v, tag):
     """Vector norm on R^d selected by tag: 'one', 'two', or 'max'."""
-    v = np.asarray(v, dtype=float)
-    if tag == "one":
-        return float(np.sum(np.abs(v)))
-    if tag == "two":
-        return float(np.linalg.norm(v))
-    if tag == "max":
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    raise ValidationError(f"unknown spatial norm tag {tag!r}")
+    return float(_norms(np.asarray(v, dtype=float), tag))
 
 
 def matrix_norm(mat, tag):
@@ -311,10 +319,10 @@ def graph_pair_norm(v, ref, tag):
 class Scenario:
     """Immutable bundle of grids, operators, and tolerances.
 
-    ``caches`` holds memoized step matrices, propagator chains, and birth
-    trajectories; it is an internal detail and does not participate in
-    equality.  All public operations on a scenario are pure functions of the
-    visible fields.
+    ``caches`` holds the per-frozen-time step-map and chain stacks, birth
+    trajectories and sampled kernels; it is an internal detail and does not
+    participate in equality.  All public operations on a scenario are pure
+    functions of the visible fields.
     """
 
     age_grid: AgeGrid
@@ -363,6 +371,16 @@ class Scenario:
             mats.flags.writeable = False
             self.caches[key] = mats
         return self.caches[key]
+
+    def _with_operator(self, operator):
+        """This scenario under another operator field, with fresh caches.
+
+        The birth samples and birth norms already cached are carried over:
+        they do not depend on the operator.
+        """
+        kept = ("birth_matrices", ("birth_norm", 0), ("birth_norm", 1))
+        caches = {k: self.caches[k] for k in kept if k in self.caches}
+        return replace(self, operator=operator, caches=caches)
 
     def birth_norm(self, ell):
         """Max over age nodes of the induced norm of b(a), base or graph."""
@@ -446,7 +464,7 @@ def graph_to_graph_norm(scenario, mat, extra=()):
 def state_norm(scenario, phi):
     """L1-in-age norm: trapezoid quadrature of the nodewise spatial norm."""
     g = phi.grid
-    per_node = np.array([spatial_norm(v, scenario.norm) for v in phi.values])
+    per_node = _norms(phi.values, scenario.norm, axis=1)
     return float(g.step * np.dot(g.weights, per_node))
 
 
@@ -493,14 +511,10 @@ def lp_age_norm(scenario, phi, p, ell=0):
     if p < 1:
         raise ValidationError("p must be >= 1")
     g = phi.grid
-    ref = scenario.reference_operator
-    per_node = np.empty(g.n_age + 1)
-    for i, v in enumerate(phi.values):
-        per_node[i] = (
-            spatial_norm(v, scenario.norm)
-            if ell == 0
-            else graph_pair_norm(v, ref, scenario.norm)
-        )
+    per_node = _norms(phi.values, scenario.norm, axis=1)
+    if ell != 0:
+        ref = scenario.reference_operator
+        per_node = per_node + _norms(phi.values @ ref.T, scenario.norm, axis=1)
     return float((g.step * np.dot(g.weights, per_node**p)) ** (1.0 / p))
 
 
@@ -512,15 +526,12 @@ def birth_quadrature(scenario, values):
 
     This helper is the single code path for every birth integral in the
     package; the renewal solver and its consistency checks rely on summation
-    order being identical on both sides.
+    order being identical on both sides.  It is one weighted contraction over
+    the age nodes and the spatial index.
     """
     g = scenario.age_grid
-    w = g.weights
     bmats = scenario.birth_matrices()
-    acc = np.zeros(scenario.dim)
-    for i in range(g.n_age + 1):
-        acc += w[i] * (bmats[i] @ values[i])
-    return g.step * acc
+    return g.step * np.einsum("i,ijk,ik->j", g.weights, bmats, values)
 
 
 def check_birth_balance(scenario, phi, tol=None):
@@ -727,6 +738,9 @@ def build_scenario(config):
         raise ConfigError(f"numeric scenario field failed to parse: {exc}") from exc
     if not math.isfinite(a_max):
         raise ConfigError("a_max must be finite (infinite maximal age is unsupported)")
+    for name, value in _float_leaves(config):
+        if not math.isfinite(value):
+            raise ConfigError(f"scenario field {name} must be finite, got {value!r}")
 
     age_grid = AgeGrid(a_max, n_age)
     time_grid = TimeGrid(horizon, n_time)
@@ -773,6 +787,18 @@ def build_scenario(config):
         label=str(config.get("label", preset or "custom")),
         config=frozen_config,
     )
+
+
+def _float_leaves(obj, prefix=""):
+    """(dotted name, value) for every float inside a nested configuration."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _float_leaves(v, f"{prefix}{k}.")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        for i, v in enumerate(obj):
+            yield from _float_leaves(v, f"{prefix}{i}.")
+    elif isinstance(obj, float):
+        yield prefix.rstrip("."), obj
 
 
 def _flatten(obj, prefix=""):

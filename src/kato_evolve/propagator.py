@@ -8,8 +8,11 @@ construction (the same matrices are applied in the same order).
 
 Step maps: the default is the exponential midpoint rule, the matrix
 exponential of the midpoint-frozen matrix over each cell (locally second
-order); the fallback is implicit Euler (first order).  Step matrices and
-node chains are memoized per frozen time inside the scenario cache.
+order); the fallback is implicit Euler (first order).  Each frozen time owns
+one scenario cache entry holding two stacks: the step maps of every cell,
+shape (n_age, d, d), built by one batched ``expm`` (or one batched solve for
+implicit Euler), and the node chain U_t(a_i, 0), shape (n_age + 1, d, d).
+The public helpers below are views over those stacks.
 """
 
 from __future__ import annotations
@@ -37,52 +40,78 @@ __all__ = [
 ]
 
 
+def _step_stack(scenario, t, j_from, j_to):
+    """Step maps of cells j_from .. j_to-1 at frozen time t, uncached."""
+    h = scenario.age_grid.step
+    offset = 0.5 if scenario.integrator_order == 2 else 1.0
+    gens = np.empty((j_to - j_from, scenario.dim, scenario.dim))
+    for i, j in enumerate(range(j_from, j_to)):
+        gens[i] = scenario.operator(t, (j + offset) * h)
+    gens *= h
+    if scenario.integrator_order == 2:
+        return expm(gens)
+    eye = np.eye(scenario.dim)
+    return np.linalg.solve(eye - gens, np.broadcast_to(eye, gens.shape))
+
+
+def _frozen_maps(scenario, t):
+    """(step maps, node chain) stacks at frozen time t, memoized per time."""
+    key = ("frozen", t, scenario.integrator_order)
+    cached = scenario.caches.get(key)
+    if cached is not None:
+        return cached
+    n = scenario.age_grid.n_age
+    # The chain is allocated ahead of the step maps' temporary generator
+    # stack, so the block freed below is the one the next frozen time's
+    # generators reuse, instead of a heap hole too small for the next chain.
+    chain = np.empty((n + 1, scenario.dim, scenario.dim))
+    steps = _step_stack(scenario, t, 0, n)
+    chain[0] = np.eye(scenario.dim)
+    for j in range(n):
+        np.matmul(steps[j], chain[j], out=chain[j + 1])
+    steps.flags.writeable = False
+    chain.flags.writeable = False
+    scenario.caches[key] = (steps, chain)
+    return steps, chain
+
+
+def _check_cells(scenario, j_from, j_to):
+    if j_from > j_to:
+        raise ValidationError(f"start index {j_from} exceeds end index {j_to}")
+    n = scenario.age_grid.n_age
+    if j_from < j_to and (j_from < 0 or j_to > n):
+        raise ValidationError(f"cell range [{j_from}, {j_to}) outside [0, {n})")
+
+
+def _compose(steps, dim):
+    """Product steps[-1] @ ... @ steps[0] (identity for an empty stack)."""
+    mat = np.eye(dim)
+    for step in steps:
+        mat = step @ mat
+    return mat
+
+
 def step_matrix(scenario, t, cell):
     """One-cell step map over [a_cell, a_cell + h] at frozen time t."""
     n = scenario.age_grid.n_age
     if not 0 <= cell < n:
         raise ValidationError(f"cell index {cell} outside [0, {n})")
-    key = ("step", t, cell, scenario.integrator_order)
-    cached = scenario.caches.get(key)
-    if cached is not None:
-        return cached
-    h = scenario.age_grid.step
-    if scenario.integrator_order == 2:
-        mid = (cell + 0.5) * h
-        mat = expm(h * scenario.operator(t, mid))
-    else:
-        right = (cell + 1.0) * h
-        eye = np.eye(scenario.dim)
-        mat = np.linalg.solve(eye - h * scenario.operator(t, right), eye)
-    mat.flags.writeable = False
-    scenario.caches[key] = mat
-    return mat
+    return _frozen_maps(scenario, t)[0][cell]
 
 
 def chain_matrices(scenario, t):
-    """List of matrices U_t(a_i, 0) for every node, memoized per frozen time."""
-    key = ("chain", t, scenario.integrator_order)
-    cached = scenario.caches.get(key)
-    if cached is not None:
-        return cached
-    n = scenario.age_grid.n_age
-    chain = [np.eye(scenario.dim)]
-    for j in range(n):
-        chain.append(step_matrix(scenario, t, j) @ chain[-1])
-    for mat in chain:
-        mat.flags.writeable = False
-    chain = tuple(chain)
-    scenario.caches[key] = chain
-    return chain
+    """Stack of U_t(a_i, 0) for every node, shape (n_age + 1, d, d)."""
+    return _frozen_maps(scenario, t)[1]
 
 
 def propagate_indices(scenario, t, j_from, j_to, v0):
     """Apply the step maps for cells j_from .. j_to-1 to a spatial vector."""
-    if j_from > j_to:
-        raise ValidationError(f"start index {j_from} exceeds end index {j_to}")
+    _check_cells(scenario, j_from, j_to)
     v = np.array(v0, dtype=float)
-    for j in range(j_from, j_to):
-        v = step_matrix(scenario, t, j) @ v
+    if j_from == j_to:
+        return v
+    for step in _frozen_maps(scenario, t)[0][j_from:j_to]:
+        v = step @ v
     return v
 
 
@@ -98,10 +127,10 @@ def propagate(scenario, t, sigma, a, v0):
 
 def compose_matrix(scenario, t, j_from, j_to):
     """U_t(a_{j_to}, a_{j_from}) materialized as a d x d matrix."""
-    mat = np.eye(scenario.dim)
-    for j in range(j_from, j_to):
-        mat = step_matrix(scenario, t, j) @ mat
-    return mat
+    _check_cells(scenario, j_from, j_to)
+    if j_from == j_to:
+        return np.eye(scenario.dim)
+    return _compose(_frozen_maps(scenario, t)[0][j_from:j_to], scenario.dim)
 
 
 def cocycle_residual(scenario, t, sigma, r, a, v0):
@@ -136,12 +165,14 @@ def estimate_bounds(scenario, t=0.0, samples=32, seed=0, max_factors=3):
     """Empirical stability constants from sampled propagator norms.
 
     Single-operator constants come from exact induced matrix norms of
-    U_t(a, s) on sampled node pairs (the frozen time is ``t``).  Product
-    constants additionally sample compositions at nondecreasing times drawn
-    from the scenario's time horizon, in the base norm and in the graph
-    norm against the reference operator.  The returned constants satisfy
-    their bound on every sampled composition by construction; they are
-    sampled estimates, not certificates.
+    U_t(a, s) on sampled node pairs, read from the cached stack at the
+    frozen time ``t``.  Product constants additionally sample compositions
+    at nondecreasing times drawn from the scenario's time horizon, in the
+    base norm and in the graph norm against the reference operator; each of
+    those random times is used once, so only its sampled cells are built,
+    in one batched call, and nothing is cached for it.  The returned
+    constants satisfy their bound on every sampled composition by
+    construction; they are sampled estimates, not certificates.
     """
     if samples < 1:
         raise ValidationError("samples must be positive")
@@ -172,7 +203,8 @@ def estimate_bounds(scenario, t=0.0, samples=32, seed=0, max_factors=3):
         span = 0.0
         for tj in times:
             j_from, j_to = sample_pair()
-            mat = compose_matrix(scenario, float(tj), j_from, j_to) @ mat
+            steps = _step_stack(scenario, float(tj), j_from, j_to)
+            mat = _compose(steps, scenario.dim) @ mat
             span += (j_to - j_from) * h
         base_prods.append((matrix_norm(mat, scenario.norm), span))
         graph_prods.append((graph_to_graph_norm(scenario, mat), span))

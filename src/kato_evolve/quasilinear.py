@@ -9,7 +9,7 @@ trades horizon length for contraction strength.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,10 +165,10 @@ def continuous_dependence_gap(scenario, a1, a2, phi, s, t, tol=1e-6, constants=N
     """
     if constants is None:
         constants = default_constants(scenario)
-    scen1 = replace(scenario, operator=a1, caches={})
-    scen2 = replace(scenario, operator=a2, caches={})
-    u1 = apply_evolution(scen1, t, s, phi, tol=tol).value
-    u2 = apply_evolution(scen2, t, s, phi, tol=tol).value
+    u1 = apply_evolution(scenario._with_operator(a1), t, s, phi, tol=tol,
+                         constants=constants).value
+    u2 = apply_evolution(scenario._with_operator(a2), t, s, phi, tol=tol,
+                         constants=constants).value
     lhs = state_norm(scenario, u1.with_values(u1.values - u2.values))
     taus = np.linspace(s, t, 65)
     nodes = scenario.age_grid.nodes
@@ -216,9 +216,12 @@ def _trajectory_field(scenario, problem, times, states):
 
 def _picard_step(scenario, problem, times, states, tol):
     field = _trajectory_field(scenario, problem, times, states)
-    scen = replace(scenario, operator=field, caches={})
+    scen = scenario._with_operator(field)
     phi = problem.ball_center
-    n = apply_evolution(scen, times[-1], 0.0, phi, tol=tol).n_used
+    # The ladder reads no bound constants, so the caller's estimate serves
+    # every step instead of a fresh estimate on each new field.
+    constants = default_constants(scenario)
+    n = apply_evolution(scen, times[-1], 0.0, phi, tol=tol, constants=constants).n_used
     out = [phi]
     current = phi
     for j in range(1, len(times)):

@@ -34,7 +34,7 @@ from .core import (
     birth_quadrature,
     spatial_norm,
 )
-from .propagator import chain_matrices, step_matrix
+from .propagator import _frozen_maps
 
 __all__ = [
     "BirthTrajectory",
@@ -90,35 +90,56 @@ def _boundary_solver(scenario):
     return lu
 
 
+def _row_products(mats, rows):
+    """Row-wise products mats[i] @ rows[i] for stacks (m, d, d) and (m, d)."""
+    return np.matmul(mats, rows[:, :, None])[:, :, 0]
+
+
+def _transport(steps, rows, level):
+    """Advance rows 0 .. n_age - level by one cell each, in place.
+
+    Row j moves through the step map of cell j + level - 1; applying levels
+    1, 2, ... in turn carries phi(a_j) to age a_{j + level}.
+    """
+    n = steps.shape[0]
+    rows[: n - level + 1] = _row_products(steps[level - 1 :], rows[: n - level + 1])
+
+
+def _newborn_rows(chain, values, k, top):
+    """Rows U_t(a_i, 0) values[k - i] for i = 1 .. top."""
+    return _row_products(chain[1 : top + 1], values[k - top : k][::-1])
+
+
 def transported_rows(scenario, t, phi_values, level):
     """Rows U_t(a_{j+level}, a_j) phi(a_j) for j = 0 .. n_age - level.
 
-    The recurrence applies one-cell step maps in ascending level order; the
-    renewal march below uses the identical update, so recomputed rows agree
-    bitwise with the march's internal values.
+    Each level advances every surviving row through its cell's map from the
+    frozen time's step-map stack, one batched product per level; the renewal
+    march below uses the identical update, so recomputed rows agree bitwise
+    with the march's internal values.
     """
     n = scenario.age_grid.n_age
     if level > n:
         raise ValidationError("transport level exceeds the age grid")
+    steps, _ = _frozen_maps(scenario, t)
     rows = np.array(phi_values, dtype=float)
     for k in range(1, level + 1):
-        for j in range(n - k + 1):
-            rows[j] = step_matrix(scenario, t, j + k - 1) @ rows[j]
+        _transport(steps, rows, k)
     return rows[: n - level + 1]
 
 
 def _march(scenario, t, phi_values, n_steps, warm=None):
     """Run the renewal march for ``n_steps`` steps, optionally extending.
 
-    ``warm`` may hold a previous value array with at least n_age steps; past
-    that point the transported-initial-data branch is empty and the march
+    Step k transports the initial-data rows by one level and forms the
+    newborn branch from the chain stack, each as one batched product over
+    the age nodes, then solves the boundary system for B(s_k).  ``warm``
+    may hold a previous value array with at least n_age steps; past that
+    point the transported-initial-data branch is empty and the march
     continues from newborn history alone.
     """
-    g = scenario.age_grid
-    n, h = g.n_age, g.step
-    w = g.weights
-    bmats = scenario.birth_matrices()
-    chain = chain_matrices(scenario, t)
+    n = scenario.age_grid.n_age
+    steps, chain = _frozen_maps(scenario, t)
     lu = _boundary_solver(scenario)
     d = scenario.dim
 
@@ -137,18 +158,15 @@ def _march(scenario, t, phi_values, n_steps, warm=None):
     branch = np.empty((n + 1, d))
     for k in range(start if start > n else 1, n_steps + 1):
         if k <= n:
-            for j in range(n - k + 1):
-                moving[j] = step_matrix(scenario, t, j + k - 1) @ moving[j]
+            _transport(steps, moving, k)
         if k < start:
             continue
-        branch[0] = 0.0  # slot of the implicit unknown
         top = min(k, n)
-        for i in range(1, top + 1):
-            branch[i] = chain[i] @ B[k - i]
-        for i in range(k + 1, n + 1):
-            branch[i] = moving[i - k]
-        rhs = birth_quadrature(scenario, branch)
-        B[k] = lu_solve(lu, rhs)
+        branch[0] = 0.0  # slot of the implicit unknown
+        branch[1 : top + 1] = _newborn_rows(chain, B, k, top)
+        if k < n:
+            branch[k + 1 :] = moving[1 : n - k + 1]
+        B[k] = lu_solve(lu, birth_quadrature(scenario, branch))
     return B
 
 
@@ -193,16 +211,14 @@ def branch_values(scenario, t, phi, s):
     if m == 0:
         return np.array(phi.values, dtype=float)
     traj = solve_birth(scenario, t, phi, s)
-    chain = chain_matrices(scenario, t)
+    _, chain = _frozen_maps(scenario, t)
     n = g.n_age
     out = np.empty((n + 1, scenario.dim))
     top = min(m, n)
-    for i in range(top + 1):
-        out[i] = chain[i] @ traj.values[m - i]
+    out[0] = traj.values[m]  # U_t(0, 0) is the identity
+    out[1 : top + 1] = _newborn_rows(chain, traj.values, m, top)
     if m < n:
-        moving = transported_rows(scenario, t, phi.values, m)
-        for i in range(m + 1, n + 1):
-            out[i] = moving[i - m]
+        out[m + 1 :] = transported_rows(scenario, t, phi.values, m)[1:]
     return out
 
 

@@ -7,9 +7,12 @@ trajectory.  The diagonal age = s is assigned to the newborn branch; for
 balanced profiles the two branches agree there, for general profiles the
 discrete jump is accepted.
 
-Because the birth trajectory is defined through the same quadrature and the
-same propagation chains used here, the semigroup law holds to rounding on
-the aligned grid (see renewal module docstring), not merely to quadrature
+Both branches are read from the frozen time's cached stacks (the step maps
+and the chain U_t(a_i, 0), one scenario cache entry per frozen time, see the
+propagator module) through the same row-wise batched products the renewal
+march uses.  Because the birth trajectory is defined through the same
+quadrature and the same stacks, the semigroup law holds to rounding on the
+aligned grid (see renewal module docstring), not merely to quadrature
 accuracy.
 """
 

@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import kato_evolve as ke
+
+# Some tests run the command line in a child interpreter; give it the same
+# source tree that pytest's ``pythonpath`` setting gives this one.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

@@ -92,6 +92,20 @@ def test_rejected_scenario_key(capsys, tmp_path):
     assert "bogus" in err
 
 
+def test_non_finite_scenario_field_fails_cleanly(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        json.dumps({"preset": "SCAL0", "birth": {"kind": "constant", "beta": float("nan")}})
+    )
+    code, out, err = run(capsys, "semigroup", "--scenario", str(path), "--s", "0.5")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "birth.beta" in lines[0]
+
+
 def test_thread_cap_validation(monkeypatch):
     monkeypatch.delenv("KATO_EVOLVE_THREADS", raising=False)
     assert thread_cap() is None

@@ -1,5 +1,7 @@
 """Grids, scenario configuration, profiles, norms, and operator plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,29 @@ def test_build_scenario_rejects_unknown_keys():
 def test_build_scenario_missing_field():
     with pytest.raises(ke.ConfigError, match="missing scenario field"):
         ke.build_scenario({"dim": 1})
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"s_max_factor": float("inf")},
+        {"tolerances": {"volterra": float("nan")}},
+        {"operator": {"kind": "scalar_mortality", "mu": float("-inf")}},
+        {"reference_operator": [[float("nan")]]},
+    ],
+)
+def test_build_scenario_rejects_non_finite_fields(override):
+    with pytest.raises(ke.ConfigError, match="must be finite"):
+        ke.preset_scenario("SCAL0", **override)
+
+
+def test_sampled_fields_reject_non_finite_values():
+    op = ke.OperatorField(2, lambda t, a: np.full((2, 2), np.nan))
+    with pytest.raises(ke.ValidationError, match="not finite"):
+        op(0.0, 0.5)
+    birth = ke.BirthKernel(1, lambda a: np.array([[np.inf]]))
+    with pytest.raises(ke.ValidationError, match="not finite"):
+        birth(0.5)
 
 
 def test_build_scenario_bad_operator_kind():
@@ -125,6 +150,26 @@ def test_lp_age_norm_on_constant(qdiff):
     oq = ke.make_profile(qdiff, "ones")
     assert ke.lp_age_norm(qdiff, oq, 1.0) == pytest.approx(4.0, abs=1e-12)
     assert ke.lp_age_norm(qdiff, oq, 2.0) == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("tag", ["one", "two", "max"])
+def test_whole_grid_norms_match_nodewise_loops(qdiff, tag):
+    sc = dataclasses.replace(qdiff, norm=tag, caches={})
+    phi = ke.make_profile(sc, "smooth_random", seed=4)
+    g, ref = sc.age_grid, sc.reference_operator
+    base = np.array([np.linalg.norm(v, {"one": 1, "two": 2, "max": np.inf}[tag])
+                     for v in phi.values])
+    graph = base + np.array([np.linalg.norm(ref @ v, {"one": 1, "two": 2, "max": np.inf}[tag])
+                             for v in phi.values])
+    rtol = 64 * np.finfo(float).eps
+    assert ke.state_norm(sc, phi) == pytest.approx(g.step * g.weights @ base, rel=rtol)
+    for p in (1.0, 3.0):
+        for ell, per_node in ((0, base), (1, graph)):
+            expected = (g.step * g.weights @ per_node**p) ** (1.0 / p)
+            assert ke.lp_age_norm(sc, phi, p, ell) == pytest.approx(expected, rel=rtol)
+    bmats = sc.birth_matrices()
+    loop = g.step * sum(w * (b @ v) for w, b, v in zip(g.weights, bmats, phi.values))
+    assert np.allclose(ke.birth_quadrature(sc, phi.values), loop, rtol=rtol, atol=0.0)
 
 
 def test_spatial_and_matrix_norms():

@@ -1,0 +1,110 @@
+"""Per-frozen-time step-map stacks and the first-order integrator."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+import kato_evolve as ke
+from kato_evolve.propagator import propagate_indices
+from kato_evolve.renewal import transported_rows
+
+
+def fresh(scenario):
+    return dataclasses.replace(scenario, caches={})
+
+
+def frozen_keys(scenario):
+    return [k for k in scenario.caches if isinstance(k, tuple) and k[0] == "frozen"]
+
+
+@pytest.mark.parametrize("name", ["SCAL0", "DIFF1"])
+def test_integrator_order_one_keeps_the_invariants(name):
+    sc = ke.preset_scenario(name, integrator_order=1)
+    tol = sc.tolerances
+    phi = ke.make_profile(sc, "smooth_random", seed=5)
+    h = sc.age_grid.step
+    n = sc.age_grid.n_age
+    bound = tol.semigroup * ke.state_norm(sc, phi)
+    for t, s1, s2 in ((0.0, 3 * h, 5 * h), (0.3, (n // 4) * h, (n // 2) * h)):
+        assert ke.semigroup_property_residual(sc, t, s1, s2, phi) <= bound
+    for k in (1, n // 3, n, n + 7):
+        assert ke.birth_identity_residual(sc, 0.3, phi, k * h) < tol.volterra
+    v = np.linspace(0.2, 1.0, sc.dim)
+    assert ke.cocycle_residual(sc, 0.3, 2 * h, (n // 2) * h, n * h, v) < tol.cocycle
+
+
+def test_order_one_differs_from_midpoint_rule(diff1):
+    implicit = fresh(dataclasses.replace(diff1, integrator_order=1))
+    assert not np.array_equal(
+        ke.step_matrix(implicit, 0.3, 5), ke.step_matrix(diff1, 0.3, 5)
+    )
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_stacked_step_maps_match_per_cell_maps(diff1, order):
+    sc = fresh(dataclasses.replace(diff1, integrator_order=order))
+    t = 0.3
+    h = sc.age_grid.step
+    eye = np.eye(sc.dim)
+    chain = ke.chain_matrices(sc, t)
+    assert isinstance(chain, np.ndarray)
+    assert chain.shape == (sc.age_grid.n_age + 1, sc.dim, sc.dim)
+    assert np.array_equal(chain[0], eye)
+    for j in range(sc.age_grid.n_age):
+        if order == 2:
+            expected = expm(h * sc.operator(t, (j + 0.5) * h))
+        else:
+            expected = np.linalg.solve(eye - h * sc.operator(t, (j + 1.0) * h), eye)
+        step = ke.step_matrix(sc, t, j)
+        assert np.array_equal(step, expected)
+        assert np.array_equal(chain[j + 1], step @ chain[j])
+
+
+def test_batched_transport_matches_per_row_propagation(diff1):
+    phi = ke.make_profile(diff1, "smooth_random", seed=2).values
+    n = diff1.age_grid.n_age
+    for level in (0, 1, n // 3, n):
+        rows = transported_rows(diff1, 0.3, phi, level)
+        loop = np.array([propagate_indices(diff1, 0.3, j, j + level, phi[j])
+                         for j in range(n - level + 1)])
+        assert np.allclose(rows, loop, rtol=64 * np.finfo(float).eps, atol=1e-15)
+
+
+def test_step_maps_are_read_only(diff1):
+    with pytest.raises(ValueError):
+        ke.chain_matrices(diff1, 0.0)[1, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ke.step_matrix(diff1, 0.0, 0)[0, 0] = 1.0
+
+
+def test_cell_ranges_are_validated(diff1):
+    n = diff1.age_grid.n_age
+    v = np.ones(diff1.dim)
+    with pytest.raises(ke.ValidationError):
+        ke.step_matrix(diff1, 0.0, n)
+    with pytest.raises(ke.ValidationError):
+        propagate_indices(diff1, 0.0, 2, 1, v)
+    with pytest.raises(ke.ValidationError):
+        ke.compose_matrix(diff1, 0.0, 0, n + 1)
+
+
+def test_evolution_caches_one_stack_per_frozen_time(diff1):
+    sc = fresh(diff1)
+    ke.apply_evolution(sc, 0.5, 0.0, ke.make_profile(sc, "tilted"), tol=1e-4)
+    assert not [k for k in sc.caches if isinstance(k, tuple) and k[0] == "step"]
+    keys = frozen_keys(sc)
+    assert len(keys) == len({k[1] for k in keys}) > 1
+    n, d = sc.age_grid.n_age, sc.dim
+    for key in keys:
+        steps, chain = sc.caches[key]
+        assert steps.shape == (n, d, d)
+        assert chain.shape == (n + 1, d, d)
+
+
+def test_estimate_bounds_caches_only_its_own_frozen_time(diff1):
+    sc = fresh(diff1)
+    first = ke.estimate_bounds(sc, t=0.25, samples=8, seed=3)
+    assert frozen_keys(sc) == [("frozen", 0.25, 2)]
+    assert ke.estimate_bounds(fresh(diff1), t=0.25, samples=8, seed=3) == first

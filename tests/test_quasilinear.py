@@ -192,3 +192,25 @@ def test_too_tight_tolerance_propagates_ladder_failure(qdiff):
     problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS, center=center)
     with pytest.raises(ke.ConvergenceError, match="partition counts"):
         ke.solve_quasilinear(qdiff, problem, tol=1e-6)
+
+
+def test_picard_steps_reuse_constants_and_birth_samples(qdiff, monkeypatch):
+    import dataclasses
+
+    from kato_evolve import propagator
+
+    births = []
+    kernel = dataclasses.replace(
+        qdiff.birth, evaluate=lambda a: births.append(a) or qdiff.birth.evaluate(a)
+    )
+    sc = dataclasses.replace(qdiff, birth=kernel, caches={})
+    estimates = []
+    real = propagator.estimate_bounds
+    monkeypatch.setattr(
+        propagator, "estimate_bounds", lambda *a, **k: estimates.append(1) or real(*a, **k)
+    )
+    problem = ke.norm_coupled_diffusion(sc, EPS, RADIUS, center=structured_center(sc))
+    _, _, report = ke.solve_quasilinear(sc, problem, tol=TOL)
+    assert len(report.sup_gaps) >= 2
+    assert len(estimates) == 1
+    assert len(births) == sc.age_grid.n_age + 1  # sampled once, at construction
