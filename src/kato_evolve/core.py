@@ -12,6 +12,7 @@ used for graph norms, and tolerance settings.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -174,6 +175,8 @@ class StateVector:
             raise ValidationError(
                 f"state has {arr.shape[0]} rows, grid has {self.grid.n_age + 1} nodes"
             )
+        if not np.isfinite(arr).all():
+            raise ValidationError("state values must be finite")
         if not arr.flags.writeable:
             object.__setattr__(self, "values", arr)
         else:
@@ -315,14 +318,26 @@ def graph_pair_norm(v, ref, tag):
     return spatial_norm(v, tag) + spatial_norm(ref @ v, tag)
 
 
+class _Caches(dict):
+    """The cache dict of one scenario, which ``owner`` references weakly."""
+
+    def __init__(self, entries, owner):
+        super().__init__(entries)
+        self.owner = weakref.ref(owner)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable bundle of grids, operators, and tolerances.
 
-    ``caches`` holds the per-frozen-time step-map and chain stacks, birth
-    trajectories and sampled kernels; it is an internal detail and does not
-    participate in equality.  All public operations on a scenario are pure
-    functions of the visible fields.
+    ``caches`` holds the per-frozen-time step-map stacks (the renewal march
+    shifts profiles through them one cell at a time, so no chain is cached),
+    birth trajectories and sampled kernels; it is an internal detail and does
+    not participate in equality.  All public operations on a scenario are
+    pure functions of the visible fields.  A scenario starts from the entries
+    of a passed ``caches`` dict only when no other live scenario owns it, so
+    ``dataclasses.replace`` never shares a cache whose keys do not name the
+    fields it replaced.
     """
 
     age_grid: AgeGrid
@@ -357,6 +372,10 @@ class Scenario:
             raise ValidationError("s_max_factor must be positive")
         # Time steps must land on age nodes so transport stays node-aligned.
         self.age_grid.index_of(self.time_grid.step, "time grid step")
+        caches = self.caches
+        if isinstance(caches, _Caches) and caches.owner() is not None:
+            caches = {}
+        object.__setattr__(self, "caches", _Caches(caches, self))
         bmats = self.birth_matrices()
         if np.any(bmats < 0):
             raise ValidationError("birth kernel must be entrywise nonnegative on the grid")
@@ -375,10 +394,11 @@ class Scenario:
     def _with_operator(self, operator):
         """This scenario under another operator field, with fresh caches.
 
-        The birth samples and birth norms already cached are carried over:
-        they do not depend on the operator.
+        The birth samples, birth norms and reference directions already
+        cached are carried over: they do not depend on the operator.
         """
-        kept = ("birth_matrices", ("birth_norm", 0), ("birth_norm", 1))
+        kept = ("birth_matrices", ("birth_norm", 0), ("birth_norm", 1),
+                "reference_directions")
         caches = {k: self.caches[k] for k in kept if k in self.caches}
         return replace(self, operator=operator, caches=caches)
 
@@ -390,11 +410,32 @@ class Scenario:
             if ell == 0:
                 val = max(matrix_norm(m, self.norm) for m in mats)
             elif ell == 1:
-                ref = self.reference_operator
-                val = max(_graph_operator_norm(m, ref, ref, self.norm) for m in mats)
+                val = max(graph_to_graph_norm(self, m) for m in mats)
             else:
                 raise ValidationError("ell must be 0 or 1")
             self.caches[key] = float(val)
+        return self.caches[key]
+
+    def _reference_directions(self):
+        """Graph-norm candidates from the reference operator; cached.
+
+        The four lowest and four highest eigenvectors when the reference
+        operator is symmetric, none otherwise.
+        """
+        key = "reference_directions"
+        if key not in self.caches:
+            ref = self.reference_operator
+            dirs = ()
+            if np.allclose(ref, ref.T):
+                try:
+                    _, vecs = np.linalg.eigh(ref)
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    vecs.flags.writeable = False
+                    k = min(4, self.dim)
+                    dirs = (*vecs.T[:k], *vecs.T[-k:])
+            self.caches[key] = dirs
         return self.caches[key]
 
     @property
@@ -405,16 +446,17 @@ class Scenario:
         return StateVector(self.age_grid, np.zeros((self.age_grid.n_age + 1, self.dim)))
 
 
-def _graph_operator_norm(mat, ref_out, ref_in, tag, extra=()):
-    """Sampled induced norm between graph-normed spaces.
+def graph_to_graph_norm(scenario, mat):
+    """Sampled induced norm of mat between graph-normed spaces.
 
-    Estimates sup (|Cv| + |ref_out C v|) / (|v| + |ref_in v|) over a
-    deterministic candidate set: basis vectors, the constant vector, top
-    singular directions, and ref_in eigenvectors when symmetric.  Pass
-    ``ref_out=None`` for a plain target norm.  This is a sampled quantity;
-    for the matrix families shipped here the candidates contain the extremal
-    directions.
+    Estimates sup (|Cv| + |ref C v|) / (|v| + |ref v|) over a deterministic
+    candidate set: the constant vector, basis vectors, top singular
+    directions of C, and the scenario's reference directions.  This is a
+    sampled quantity; for the matrix families shipped here the candidates
+    contain the extremal directions.
     """
+    ref = scenario.reference_operator
+    tag = scenario.norm
     d = mat.shape[0]
     cands = [np.ones(d)]
     cands.extend(np.eye(d))
@@ -423,39 +465,15 @@ def _graph_operator_norm(mat, ref_out, ref_in, tag, extra=()):
         cands.extend(vt[: min(4, d)])
     except np.linalg.LinAlgError:
         pass
-    if ref_in is not None and np.allclose(ref_in, ref_in.T):
-        try:
-            _, vecs = np.linalg.eigh(ref_in)
-            cands.extend(vecs.T[: min(4, d)])
-            cands.extend(vecs.T[-min(4, d):])
-        except np.linalg.LinAlgError:
-            pass
-    cands.extend(extra)
+    cands.extend(scenario._reference_directions())
     best = 0.0
     for v in cands:
-        v = np.asarray(v, dtype=float)
-        denom = spatial_norm(v, tag)
-        if ref_in is not None:
-            denom += spatial_norm(ref_in @ v, tag)
+        denom = spatial_norm(v, tag) + spatial_norm(ref @ v, tag)
         if denom <= 0:
             continue
-        num = spatial_norm(mat @ v, tag)
-        if ref_out is not None:
-            num += spatial_norm(ref_out @ (mat @ v), tag)
+        num = spatial_norm(mat @ v, tag) + spatial_norm(ref @ (mat @ v), tag)
         best = max(best, num / denom)
     return best
-
-
-def graph_to_base_norm(scenario, mat, extra=()):
-    """Sampled operator norm from the graph-normed space to the base space."""
-    return _graph_operator_norm(
-        mat, None, scenario.reference_operator, scenario.norm, extra=extra
-    )
-
-
-def graph_to_graph_norm(scenario, mat, extra=()):
-    ref = scenario.reference_operator
-    return _graph_operator_norm(mat, ref, ref, scenario.norm, extra=extra)
 
 
 # -- discrete norms --------------------------------------------------------

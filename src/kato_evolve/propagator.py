@@ -9,10 +9,10 @@ construction (the same matrices are applied in the same order).
 Step maps: the default is the exponential midpoint rule, the matrix
 exponential of the midpoint-frozen matrix over each cell (locally second
 order); the fallback is implicit Euler (first order).  Each frozen time owns
-one scenario cache entry holding two stacks: the step maps of every cell,
-shape (n_age, d, d), built by one batched ``expm`` (or one batched solve for
-implicit Euler), and the node chain U_t(a_i, 0), shape (n_age + 1, d, d).
-The public helpers below are views over those stacks.
+one scenario cache entry: the step maps of every cell as one stack of shape
+(n_age, d, d), built by one batched ``expm`` (or one batched solve for
+implicit Euler).  The public helpers below are views over that stack; the
+node chain U_t(a_i, 0) is built only on request and never cached.
 """
 
 from __future__ import annotations
@@ -55,24 +55,14 @@ def _step_stack(scenario, t, j_from, j_to):
 
 
 def _frozen_maps(scenario, t):
-    """(step maps, node chain) stacks at frozen time t, memoized per time."""
+    """Step-map stack (n_age, d, d) at frozen time t, memoized per time."""
     key = ("frozen", t, scenario.integrator_order)
-    cached = scenario.caches.get(key)
-    if cached is not None:
-        return cached
-    n = scenario.age_grid.n_age
-    # The chain is allocated ahead of the step maps' temporary generator
-    # stack, so the block freed below is the one the next frozen time's
-    # generators reuse, instead of a heap hole too small for the next chain.
-    chain = np.empty((n + 1, scenario.dim, scenario.dim))
-    steps = _step_stack(scenario, t, 0, n)
-    chain[0] = np.eye(scenario.dim)
-    for j in range(n):
-        np.matmul(steps[j], chain[j], out=chain[j + 1])
-    steps.flags.writeable = False
-    chain.flags.writeable = False
-    scenario.caches[key] = (steps, chain)
-    return steps, chain
+    steps = scenario.caches.get(key)
+    if steps is None:
+        steps = _step_stack(scenario, t, 0, scenario.age_grid.n_age)
+        steps.flags.writeable = False
+        scenario.caches[key] = steps
+    return steps
 
 
 def _check_cells(scenario, j_from, j_to):
@@ -96,12 +86,18 @@ def step_matrix(scenario, t, cell):
     n = scenario.age_grid.n_age
     if not 0 <= cell < n:
         raise ValidationError(f"cell index {cell} outside [0, {n})")
-    return _frozen_maps(scenario, t)[0][cell]
+    return _frozen_maps(scenario, t)[cell]
 
 
 def chain_matrices(scenario, t):
-    """Stack of U_t(a_i, 0) for every node, shape (n_age + 1, d, d)."""
-    return _frozen_maps(scenario, t)[1]
+    """Read-only stack of U_t(a_i, 0) per node, (n_age + 1, d, d), built per call."""
+    steps = _frozen_maps(scenario, t)
+    chain = np.empty((steps.shape[0] + 1, scenario.dim, scenario.dim))
+    chain[0] = np.eye(scenario.dim)
+    for j, step in enumerate(steps):
+        np.matmul(step, chain[j], out=chain[j + 1])
+    chain.flags.writeable = False
+    return chain
 
 
 def propagate_indices(scenario, t, j_from, j_to, v0):
@@ -110,7 +106,7 @@ def propagate_indices(scenario, t, j_from, j_to, v0):
     v = np.array(v0, dtype=float)
     if j_from == j_to:
         return v
-    for step in _frozen_maps(scenario, t)[0][j_from:j_to]:
+    for step in _frozen_maps(scenario, t)[j_from:j_to]:
         v = step @ v
     return v
 
@@ -130,7 +126,7 @@ def compose_matrix(scenario, t, j_from, j_to):
     _check_cells(scenario, j_from, j_to)
     if j_from == j_to:
         return np.eye(scenario.dim)
-    return _compose(_frozen_maps(scenario, t)[0][j_from:j_to], scenario.dim)
+    return _compose(_frozen_maps(scenario, t)[j_from:j_to], scenario.dim)
 
 
 def cocycle_residual(scenario, t, sigma, r, a, v0):

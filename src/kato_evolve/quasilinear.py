@@ -187,7 +187,7 @@ def _trajectory_field(scenario, problem, times, states):
     """Operator field obtained by freezing a trajectory inside the family.
 
     The trajectory is interpolated linearly in time; blended states are
-    memoized per requested time since chain construction revisits each
+    memoized per requested time since building the step maps revisits each
     frozen time once per age node.
     """
     values = [s.values for s in states]

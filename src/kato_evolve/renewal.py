@@ -5,15 +5,15 @@ Volterra equation: the birth integral of the evolved profile, where ages
 below s carry propagated newborn values U_t(a, 0) B(s - a) and ages above s
 carry transported initial data U_t(a, a - s) phi(a - s).
 
-Discretization: one composite trapezoid quadrature over the full age
-interval, applied to the two-branch integrand, with the diagonal node a = s
-assigned to the newborn branch.  Writing the equation this way (rather than
-as two separate trapezoid sums meeting at the diagonal) makes the discrete
-birth trajectory EXACTLY the birth integral of the discrete evolved profile,
-so the consistency residual is limited only by the per-step linear solve.
-The unknown B(s_k) enters through the a = 0 quadrature endpoint where
-U_t(0, 0) is the identity, leaving a d x d solve per step with matrix
-I - (h/2) b(0).
+Discretization: the age step equals the time step, so one step of the
+frozen-time semigroup shifts the whole profile by one cell through the step
+maps, u[i] <- U_t(a_i, a_{i-1}) u[i-1], and refills node 0 from the renewal
+condition (Webb 1985; Iannelli 1995); the diagonal a = s is newborn.  The
+condition is one composite trapezoid quadrature of the shifted profile, so
+the discrete birth trajectory is EXACTLY the birth integral of the discrete
+evolved profile, up to the per-step d x d solve with matrix I - (h/2) b(0)
+for the unknown B(s_k) at the a = 0 endpoint.  The march, its warm restart
+and the evolved profile run the same shift loop; no chain is formed.
 
 The march is first order at the branch seam for incompatible data and second
 order for balanced profiles; both refine under grid halving.
@@ -90,83 +90,65 @@ def _boundary_solver(scenario):
     return lu
 
 
-def _row_products(mats, rows):
-    """Row-wise products mats[i] @ rows[i] for stacks (m, d, d) and (m, d)."""
-    return np.matmul(mats, rows[:, :, None])[:, :, 0]
+def _shift(steps, u):
+    """Shift a profile one age cell in place, u[i] <- S_{i-1} u[i-1], i >= 1."""
+    u[1:] = np.matmul(steps, u[:-1, :, None])[:, :, 0]
 
 
-def _transport(steps, rows, level):
-    """Advance rows 0 .. n_age - level by one cell each, in place.
+def _profile_at(scenario, t, phi_values, births, m):
+    """The evolved profile after m age steps, replaying known newborn fluxes.
 
-    Row j moves through the step map of cell j + level - 1; applying levels
-    1, 2, ... in turn carries phi(a_j) to age a_{j + level}.
+    Nodes i <= m carry births[m - i] (the diagonal is newborn), nodes i > m
+    carry transported phi.  Fluxes older than n_age steps have left the grid,
+    so the replay starts from zeros at step m - n_age when that is positive.
     """
-    n = steps.shape[0]
-    rows[: n - level + 1] = _row_products(steps[level - 1 :], rows[: n - level + 1])
-
-
-def _newborn_rows(chain, values, k, top):
-    """Rows U_t(a_i, 0) values[k - i] for i = 1 .. top."""
-    return _row_products(chain[1 : top + 1], values[k - top : k][::-1])
+    steps = _frozen_maps(scenario, t)
+    start = max(0, m - scenario.age_grid.n_age)
+    if start == 0:
+        u = np.array(phi_values, dtype=float)
+    else:
+        u = np.zeros((scenario.age_grid.n_age + 1, scenario.dim))
+    u[0] = births[start]
+    for k in range(start + 1, m + 1):
+        _shift(steps, u)
+        u[0] = births[k]
+    return u
 
 
 def transported_rows(scenario, t, phi_values, level):
     """Rows U_t(a_{j+level}, a_j) phi(a_j) for j = 0 .. n_age - level.
 
-    Each level advances every surviving row through its cell's map from the
-    frozen time's step-map stack, one batched product per level; the renewal
-    march below uses the identical update, so recomputed rows agree bitwise
-    with the march's internal values.
+    The same shift loop as the renewal march, with phi(a_0) as the only
+    newborn value, so the rows agree bitwise with the march's profile.
     """
-    n = scenario.age_grid.n_age
-    if level > n:
+    if level > scenario.age_grid.n_age:
         raise ValidationError("transport level exceeds the age grid")
-    steps, _ = _frozen_maps(scenario, t)
-    rows = np.array(phi_values, dtype=float)
-    for k in range(1, level + 1):
-        _transport(steps, rows, k)
-    return rows[: n - level + 1]
+    births = np.zeros((level + 1, scenario.dim))
+    births[0] = phi_values[0]
+    return _profile_at(scenario, t, phi_values, births, level)[level:]
 
 
 def _march(scenario, t, phi_values, n_steps, warm=None):
     """Run the renewal march for ``n_steps`` steps, optionally extending.
 
-    Step k transports the initial-data rows by one level and forms the
-    newborn branch from the chain stack, each as one batched product over
-    the age nodes, then solves the boundary system for B(s_k).  ``warm``
-    may hold a previous value array with at least n_age steps; past that
-    point the transported-initial-data branch is empty and the march
-    continues from newborn history alone.
+    Each step shifts the whole profile by one age cell through the step
+    maps, then solves the boundary system for the newborn flux at node 0.
+    ``warm`` may hold the values of a shorter march of the same profile; the
+    profile at its last step is replayed from them and the march continues.
     """
-    n = scenario.age_grid.n_age
-    steps, chain = _frozen_maps(scenario, t)
     lu = _boundary_solver(scenario)
-    d = scenario.dim
-
-    if warm is not None and warm.shape[0] - 1 >= n:
-        start = warm.shape[0]
-        B = np.empty((n_steps + 1, d))
-        B[:start] = warm
-    else:
-        start = 1
-        B = np.empty((n_steps + 1, d))
-        B[0] = birth_quadrature(scenario, phi_values)
-    if n_steps + 1 <= start:
-        return B[: n_steps + 1]
-
-    moving = np.array(phi_values, dtype=float)  # row j: transported phi(a_j)
-    branch = np.empty((n + 1, d))
-    for k in range(start if start > n else 1, n_steps + 1):
-        if k <= n:
-            _transport(steps, moving, k)
-        if k < start:
-            continue
-        top = min(k, n)
-        branch[0] = 0.0  # slot of the implicit unknown
-        branch[1 : top + 1] = _newborn_rows(chain, B, k, top)
-        if k < n:
-            branch[k + 1 :] = moving[1 : n - k + 1]
-        B[k] = lu_solve(lu, birth_quadrature(scenario, branch))
+    if warm is None:
+        warm = birth_quadrature(scenario, phi_values)[None, :]
+    start = warm.shape[0]
+    B = np.empty((n_steps + 1, scenario.dim))
+    B[:start] = warm
+    u = _profile_at(scenario, t, phi_values, B, start - 1)
+    steps = _frozen_maps(scenario, t)
+    for k in range(start, n_steps + 1):
+        _shift(steps, u)
+        u[0] = 0.0  # slot of the implicit unknown
+        B[k] = lu_solve(lu, birth_quadrature(scenario, u))
+        u[0] = B[k]
     return B
 
 
@@ -206,20 +188,11 @@ def branch_values(scenario, t, phi, s):
     Ages at or below s carry propagated newborn values, ages above s carry
     transported initial data; s = 0 returns the profile unchanged.
     """
-    g = scenario.age_grid
-    m = g.index_of(s, "elapsed span")
+    m = scenario.age_grid.index_of(s, "elapsed span")
     if m == 0:
         return np.array(phi.values, dtype=float)
     traj = solve_birth(scenario, t, phi, s)
-    _, chain = _frozen_maps(scenario, t)
-    n = g.n_age
-    out = np.empty((n + 1, scenario.dim))
-    top = min(m, n)
-    out[0] = traj.values[m]  # U_t(0, 0) is the identity
-    out[1 : top + 1] = _newborn_rows(chain, traj.values, m, top)
-    if m < n:
-        out[m + 1 :] = transported_rows(scenario, t, phi.values, m)[1:]
-    return out
+    return _profile_at(scenario, t, phi.values, traj.values, m)
 
 
 def birth_identity_residual(scenario, t, phi, s):

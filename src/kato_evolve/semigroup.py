@@ -7,11 +7,13 @@ trajectory.  The diagonal age = s is assigned to the newborn branch; for
 balanced profiles the two branches agree there, for general profiles the
 discrete jump is accepted.
 
-Both branches are read from the frozen time's cached stacks (the step maps
-and the chain U_t(a_i, 0), one scenario cache entry per frozen time, see the
-propagator module) through the same row-wise batched products the renewal
-march uses.  Because the birth trajectory is defined through the same
-quadrature and the same stacks, the semigroup law holds to rounding on the
+On the aligned grid one age step of this action is one shift of the whole
+profile through the frozen time's cached step maps (one scenario cache entry
+per frozen time, see the propagator module) followed by one boundary solve
+for node 0.  The evolved profile is built by the same shift loop the renewal
+march runs, replaying the march's fluxes, and no chain U_t(a_i, 0) is
+cached.  Because the birth trajectory is defined through the same
+quadrature and the same loop, the semigroup law holds to rounding on the
 aligned grid (see renewal module docstring), not merely to quadrature
 accuracy.
 """

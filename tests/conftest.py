@@ -5,6 +5,17 @@ import pytest
 
 import kato_evolve as ke
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # No example database, so a run stores no examples, and no per-example
+    # deadline, so a slow host cannot fail one.  Hypothesis still caches the
+    # constants it reads from local sources under .hypothesis/ (git-ignored).
+    settings.register_profile("tier1", database=None, deadline=None)
+    settings.load_profile("tier1")
+
 # Some tests run the command line in a child interpreter; give it the same
 # source tree that pytest's ``pythonpath`` setting gives this one.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -77,6 +77,37 @@ def test_sampled_fields_reject_non_finite_values():
         birth(0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_vector_rejects_non_finite_values(scal0, bad):
+    values = np.ones((scal0.age_grid.n_age + 1, 1))
+    values[7] = bad
+    with pytest.raises(ke.ValidationError, match="finite"):
+        ke.StateVector(scal0.age_grid, values)
+
+
+def test_replaced_scenario_does_not_read_its_source_cache(scal0, mort1):
+    ones = ke.make_profile(scal0, "ones")
+    ke.apply_semigroup(scal0, 0.0, 0.5, ones)
+    swapped = dataclasses.replace(scal0, operator=mort1.operator)
+    cold = dataclasses.replace(swapped, caches={})
+    assert np.array_equal(ke.apply_semigroup(swapped, 0.0, 0.5, ones).values,
+                          ke.apply_semigroup(cold, 0.0, 0.5, ones).values)
+    carried = scal0._with_operator(mort1.operator)
+    assert "birth_matrices" in carried.caches
+    assert not [k for k in carried.caches if isinstance(k, tuple) and k[0] == "frozen"]
+
+
+def test_graph_norms_decompose_the_reference_operator_once(diff1, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    sc = dataclasses.replace(diff1, caches={})
+    sc.birth_norm(1)
+    ke.default_constants(sc)
+    ke.estimate_bounds(sc._with_operator(sc.operator), samples=4)
+    assert len(calls) == 1
+
+
 def test_build_scenario_bad_operator_kind():
     cfg = {
         "dim": 1,

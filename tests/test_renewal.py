@@ -1,5 +1,7 @@
 """Birth trajectory marching against closed-form renewal solutions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,32 @@ def test_trajectory_cache_extends(scal0):
     full = ke.solve_birth(scal0, 0.0, phi, 0.9)
     assert full.n_steps == 90
     assert np.allclose(full.values[: short.n_steps + 1], short.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_branch_values_match_the_chain_past_the_age_grid(diff1, order):
+    sc = dataclasses.replace(diff1, integrator_order=order, caches={})
+    phi = ke.make_profile(sc, "smooth_random", seed=4)
+    n, h = sc.age_grid.n_age, sc.age_grid.step
+    chain = ke.chain_matrices(sc, 0.3)
+    for m in (n, n + 1, 2 * n):
+        births = ke.solve_birth(sc, 0.3, phi, m * h).values
+        expected = np.array([chain[i] @ births[m - i] for i in range(n + 1)])
+        got = ke.branch_values(sc, 0.3, phi, m * h)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_extended_trajectory_equals_a_cold_march(diff1, order):
+    base = dataclasses.replace(diff1, integrator_order=order)
+    phi = ke.make_profile(base, "smooth_random", seed=6)
+    n, h = base.age_grid.n_age, base.age_grid.step
+    cold = ke.solve_birth(dataclasses.replace(base, caches={}), 0.3, phi, (2 * n + 5) * h)
+    for first in (n // 3, n + 3):
+        sc = dataclasses.replace(base, caches={})
+        ke.solve_birth(sc, 0.3, phi, first * h)
+        warm = ke.solve_birth(sc, 0.3, phi, (2 * n + 5) * h)
+        assert np.array_equal(warm.values, cold.values)
 
 
 def test_solve_birth_validates_horizon(scal0):
