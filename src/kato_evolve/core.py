@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -108,13 +109,13 @@ class AgeGrid:
     def step(self):
         return self.a_max / self.n_age
 
-    @property
+    @cached_property
     def nodes(self):
         nodes = np.linspace(0.0, self.a_max, self.n_age + 1)
         nodes.flags.writeable = False
         return nodes
 
-    @property
+    @cached_property
     def weights(self):
         """Composite trapezoid weights (end nodes carry 1/2)."""
         w = np.ones(self.n_age + 1)
@@ -190,14 +191,34 @@ class StateVector:
         return StateVector(self.grid, values)
 
 
+def _sample(evaluate, ages, dim, what, at=""):
+    """Stack evaluate(a) over ages, (len(ages), d, d), checked once.
+
+    A wrong shape or a non-finite entry at any age raises ValidationError;
+    the finiteness message names the first bad age.
+    """
+    ages = np.asarray(ages, dtype=float).tolist()
+    stack = np.empty((len(ages), dim, dim))
+    for i, a in enumerate(ages):
+        mat = np.asarray(evaluate(a), dtype=float)
+        if mat.shape != (dim, dim):
+            raise ValidationError(f"{what} returned shape {mat.shape}, expected {(dim, dim)}")
+        stack[i] = mat
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(f"{what} is not finite at {at}a={ages[np.argmin(finite)]!r}")
+    return stack
+
+
 @dataclass(frozen=True)
 class OperatorField:
     """Age/time dependent generator matrix field A(t, a), d x d per node.
 
     ``evaluate(t, a)`` must be deterministic.  ``lipschitz_t`` is an optional
     declared Lipschitz constant of t -> A(t, .) in the operator norm;
-    0.0 marks a field with no time dependence, which several solvers use to
-    skip refreshing cached step matrices.
+    0.0 marks a field with no time dependence: the evolution ladder then
+    stops at one level, but no cached result is keyed on it.  ``sample``
+    evaluates the frozen field over a whole age grid in one checked call.
     """
 
     dim: int
@@ -206,15 +227,13 @@ class OperatorField:
     holder_age: tuple | None = None
     label: str = "operator"
 
+    def sample(self, t, ages):
+        """The frozen field A(t, a) at every age in ``ages``, (len(ages), d, d)."""
+        return _sample(lambda a: self.evaluate(t, a), ages, self.dim,
+                       "operator field", f"t={t!r}, ")
+
     def __call__(self, t, a):
-        mat = np.asarray(self.evaluate(t, a), dtype=float)
-        if mat.shape != (self.dim, self.dim):
-            raise ValidationError(
-                f"operator field returned shape {mat.shape}, expected {(self.dim, self.dim)}"
-            )
-        if not np.isfinite(mat).all():
-            raise ValidationError(f"operator field is not finite at t={t!r}, a={a!r}")
-        return mat
+        return self.sample(t, (a,))[0]
 
     @property
     def time_independent(self):
@@ -229,15 +248,12 @@ class BirthKernel:
     evaluate: object
     label: str = "birth"
 
+    def sample(self, ages):
+        """b(a) at every age in ``ages``, (len(ages), d, d)."""
+        return _sample(self.evaluate, ages, self.dim, "birth kernel")
+
     def __call__(self, a):
-        mat = np.asarray(self.evaluate(a), dtype=float)
-        if mat.shape != (self.dim, self.dim):
-            raise ValidationError(
-                f"birth kernel returned shape {mat.shape}, expected {(self.dim, self.dim)}"
-            )
-        if not np.isfinite(mat).all():
-            raise ValidationError(f"birth kernel is not finite at a={a!r}")
-        return mat
+        return self.sample((a,))[0]
 
 
 @dataclass(frozen=True)
@@ -332,10 +348,12 @@ class Scenario:
 
     ``caches`` holds the per-frozen-time step-map stacks (the renewal march
     shifts profiles through them one cell at a time, so no chain is cached),
-    birth trajectories and sampled kernels; it is an internal detail and does
-    not participate in equality.  All public operations on a scenario are
-    pure functions of the visible fields.  A scenario starts from the entries
-    of a passed ``caches`` dict only when no other live scenario owns it, so
+    birth trajectories, the boundary LU factorization, the sampled birth
+    kernel with its norms and the default stability constants; the oracle
+    caches nothing.  It is an internal detail and does not participate in
+    equality.  All public operations on a scenario are pure functions of the
+    visible fields.  A scenario starts from the entries of a passed
+    ``caches`` dict only when no other live scenario owns it, so
     ``dataclasses.replace`` never shares a cache whose keys do not name the
     fields it replaced.
     """
@@ -386,7 +404,7 @@ class Scenario:
         """b(a_i) for every age node, shape (n_age+1, d, d); cached."""
         key = "birth_matrices"
         if key not in self.caches:
-            mats = np.stack([self.birth(a) for a in self.age_grid.nodes])
+            mats = self.birth.sample(self.age_grid.nodes)
             mats.flags.writeable = False
             self.caches[key] = mats
         return self.caches[key]
@@ -403,10 +421,13 @@ class Scenario:
         return replace(self, operator=operator, caches=caches)
 
     def birth_norm(self, ell):
-        """Max over age nodes of the induced norm of b(a), base or graph."""
+        """Max over age nodes of the induced norm of b(a), base or graph.
+
+        Each distinct sampled matrix is normed once.
+        """
         key = ("birth_norm", ell)
         if key not in self.caches:
-            mats = self.birth_matrices()
+            mats = np.unique(self.birth_matrices(), axis=0)
             if ell == 0:
                 val = max(matrix_norm(m, self.norm) for m in mats)
             elif ell == 1:
@@ -577,11 +598,9 @@ def apply_generator(scenario, t, phi, require_balance=False):
                 f"profile violates the birth balance (residual {residual:.3e}); "
                 "apply enforce_birth_balance first"
             )
-    deriv = upwind_derivative(phi)
-    out = np.empty_like(phi.values)
-    for i, a in enumerate(phi.grid.nodes):
-        out[i] = scenario.operator(t, a) @ phi.values[i] - deriv.values[i]
-    return phi.with_values(out)
+    ops = scenario.operator.sample(t, phi.grid.nodes)
+    reaction = np.matmul(ops, phi.values[:, :, None])[:, :, 0]
+    return phi.with_values(reaction - upwind_derivative(phi).values)
 
 
 # -- operator families -----------------------------------------------------

@@ -3,11 +3,13 @@
 This solver never touches the renewal construction or the approximant
 products.  It marches the transport equation on the aligned grid with a
 first-order split: exact shift along characteristics, one implicit step of
-the reaction/diffusion field nodewise, then the boundary node is refilled
-from the birth quadrature of the profile as it stands (so the boundary
-enters with a one-step lag, the main first-order error source).  Agreement
-with the evolution pipeline under joint refinement is the strongest
-end-to-end evidence the package produces.
+the reaction/diffusion field at every node, then the boundary node is
+refilled from the birth quadrature of the profile as it stands (so the
+boundary enters with a one-step lag, the main first-order error source).
+The implicit step samples the field over the whole age grid and takes one
+batched solve; it caches nothing, so every field takes the same path.
+Agreement with the evolution pipeline under joint refinement is the
+strongest end-to-end evidence the package produces.
 """
 
 import math
@@ -37,30 +39,14 @@ class OracleTrajectory:
         return self.states[-1]
 
 
-def _node_solvers(scenario, t_new):
-    """Stack of (I - step * A(t_new, a_i))^-1 over the age nodes."""
-    g = scenario.age_grid
-    step = g.step
-    key = ("oracle_inv", t_new) if scenario.operator.time_independent else None
-    if key is not None and key in scenario.caches:
-        return scenario.caches[key]
-    eye = np.eye(scenario.dim)
-    mats = np.stack(
-        [eye - step * scenario.operator(t_new, a) for a in g.nodes]
-    )
-    inv = np.linalg.inv(mats)
-    if key is not None:
-        scenario.caches[key] = inv
-    return inv
-
-
 def solve_direct(scenario, phi, t_end):
     """March the population equation directly up to t_end.
 
     One step per age step: shift every node up one slot (the boundary slot
     keeps its previous value), apply the implicit operator step at every
-    node, then overwrite the boundary node with the birth quadrature of the
-    profile.  Returns the states at all step multiples, starting from phi.
+    node as one batched solve with I - step * A(t_new, a_i), then overwrite
+    the boundary node with the birth quadrature of the profile.  Returns the
+    states at all step multiples, starting from phi.
     """
     g = scenario.age_grid
     horizon = scenario.time_grid.horizon
@@ -68,8 +54,7 @@ def solve_direct(scenario, phi, t_end):
         raise ValidationError(f"t_end must lie in [0, horizon], got {t_end!r}")
     n_steps = g.index_of(t_end, "end time")
     step = g.step
-    time_independent = scenario.operator.time_independent
-    solver = _node_solvers(scenario, 0.0) if time_independent else None
+    eye = np.eye(scenario.dim)
     values = np.array(phi.values, dtype=float)
     times = [0.0]
     states = [phi]
@@ -78,11 +63,11 @@ def solve_direct(scenario, phi, t_end):
         shifted = np.empty_like(values)
         shifted[1:] = values[:-1]
         shifted[0] = values[0]
-        inv = solver if time_independent else _node_solvers(scenario, t_new)
-        values = np.einsum("nij,nj->ni", inv, shifted)
+        implicit = eye - step * scenario.operator.sample(t_new, g.nodes)
+        values = np.linalg.solve(implicit, shifted[:, :, None])[:, :, 0]
         values[0] = birth_quadrature(scenario, values)
         times.append(t_new)
-        states.append(StateVector(g, values.copy()))
+        states.append(StateVector(g, values))
     return OracleTrajectory(tuple(times), tuple(states), step)
 
 

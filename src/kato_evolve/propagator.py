@@ -41,12 +41,14 @@ __all__ = [
 
 
 def _step_stack(scenario, t, j_from, j_to):
-    """Step maps of cells j_from .. j_to-1 at frozen time t, uncached."""
+    """Step maps of cells j_from .. j_to-1 at frozen time t, uncached.
+
+    The field is sampled once over the cells' midpoints (order 2) or right
+    ends (order 1) and the whole stack is mapped in one batched call.
+    """
     h = scenario.age_grid.step
     offset = 0.5 if scenario.integrator_order == 2 else 1.0
-    gens = np.empty((j_to - j_from, scenario.dim, scenario.dim))
-    for i, j in enumerate(range(j_from, j_to)):
-        gens[i] = scenario.operator(t, (j + offset) * h)
+    gens = scenario.operator.sample(t, (np.arange(j_from, j_to) + offset) * h)
     gens *= h
     if scenario.integrator_order == 2:
         return expm(gens)

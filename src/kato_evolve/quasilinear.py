@@ -173,7 +173,7 @@ def continuous_dependence_gap(scenario, a1, a2, phi, s, t, tol=1e-6, constants=N
     taus = np.linspace(s, t, 65)
     nodes = scenario.age_grid.nodes
     sep = [
-        max(matrix_norm(a1(tau, a) - a2(tau, a), scenario.norm) for a in nodes)
+        max(matrix_norm(m, scenario.norm) for m in a1.sample(tau, nodes) - a2.sample(tau, nodes))
         for tau in taus
     ]
     integral = float(np.trapezoid(sep, taus)) if t > s else 0.0
@@ -187,8 +187,8 @@ def _trajectory_field(scenario, problem, times, states):
     """Operator field obtained by freezing a trajectory inside the family.
 
     The trajectory is interpolated linearly in time; blended states are
-    memoized per requested time since building the step maps revisits each
-    frozen time once per age node.
+    memoized per requested time since one sample of the field evaluates it
+    once per age node at the same frozen time.
     """
     values = [s.values for s in states]
     n_nodes = len(times)
@@ -380,9 +380,9 @@ def norm_coupled_diffusion(scenario, epsilon, radius, center=None, lp_mode=None)
     if scenario.operator.time_independent:
         times = times[:1]
     peak = max(
-        matrix_norm(scenario.operator(t, a), scenario.norm)
+        matrix_norm(m, scenario.norm)
         for t in times
-        for a in scenario.age_grid.nodes
+        for m in scenario.operator.sample(t, scenario.age_grid.nodes)
     )
 
     def operator_of_state(v, t, a):

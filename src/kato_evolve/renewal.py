@@ -25,7 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .core import (
     StateVector,
@@ -62,32 +63,27 @@ class BirthTrajectory:
         return self.values[k]
 
 
-def _boundary_solver(scenario):
-    """LU factorization of I - (h/2) b(0), cached on the scenario."""
-    key = "boundary_lu"
-    cached = scenario.caches.get(key)
-    if cached is not None:
-        return cached
-    h = scenario.age_grid.step
-    b0 = scenario.birth_matrices()[0]
-    mat = np.eye(scenario.dim) - 0.5 * h * b0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            lu = lu_factor(mat)
-        except np.linalg.LinAlgError as exc:
-            raise ValidationError(
-                "boundary system is singular: step * b(0) / 2 has eigenvalue 1; "
-                "refine the age grid or rescale the birth kernel"
-            ) from exc
-    tiny = np.finfo(float).eps * max(1.0, float(np.max(np.abs(mat))))
-    if not np.all(np.isfinite(lu[0])) or np.min(np.abs(np.diag(lu[0]))) < tiny:
-        raise ValidationError(
+def _boundary_solve(scenario, rhs):
+    """Solve (I - (h/2) b(0)) x = rhs; the LU factorization is cached."""
+    lu = scenario.caches.get("boundary_lu")
+    if lu is None:
+        h = scenario.age_grid.step
+        mat = np.eye(scenario.dim) - 0.5 * h * scenario.birth_matrices()[0]
+        singular = ValidationError(
             "boundary system is singular: step * b(0) / 2 has eigenvalue 1; "
             "refine the age grid or rescale the birth kernel"
         )
-    scenario.caches[key] = lu
-    return lu
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                lu = lu_factor(mat)
+            except np.linalg.LinAlgError as exc:
+                raise singular from exc
+        tiny = np.finfo(float).eps * max(1.0, float(np.max(np.abs(mat))))
+        if not np.all(np.isfinite(lu[0])) or np.min(np.abs(np.diag(lu[0]))) < tiny:
+            raise singular
+        scenario.caches["boundary_lu"] = lu
+    return dgetrs(*lu, rhs)[0]
 
 
 def _shift(steps, u):
@@ -136,7 +132,6 @@ def _march(scenario, t, phi_values, n_steps, warm=None):
     ``warm`` may hold the values of a shorter march of the same profile; the
     profile at its last step is replayed from them and the march continues.
     """
-    lu = _boundary_solver(scenario)
     if warm is None:
         warm = birth_quadrature(scenario, phi_values)[None, :]
     start = warm.shape[0]
@@ -147,7 +142,7 @@ def _march(scenario, t, phi_values, n_steps, warm=None):
     for k in range(start, n_steps + 1):
         _shift(steps, u)
         u[0] = 0.0  # slot of the implicit unknown
-        B[k] = lu_solve(lu, birth_quadrature(scenario, u))
+        B[k] = _boundary_solve(scenario, birth_quadrature(scenario, u))
         u[0] = B[k]
     return B
 

@@ -1,6 +1,7 @@
 """Grids, scenario configuration, profiles, norms, and operator plumbing."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -279,3 +280,89 @@ def test_tolerances_defaults(scal0):
     assert t.volterra == 1e-8
     assert t.semigroup == 1e-6
     assert t.membership == 1e-8
+
+
+def _with_bad_age(field, bad, value):
+    """The operator field, returning ``value`` instead at the age ``bad``."""
+    return dataclasses.replace(
+        field, evaluate=lambda t, a: value if a == bad else field.evaluate(t, a)
+    )
+
+
+def test_sample_matches_stacked_calls(diff1):
+    h = diff1.age_grid.step
+    mids = (np.arange(diff1.age_grid.n_age) + 0.5) * h
+    op = diff1.operator
+    assert np.array_equal(op.sample(0.3, mids), np.stack([op(0.3, a) for a in mids]))
+    hat = ke.preset_scenario("DIFF1", birth={"kind": "hat", "beta": 2.0}).birth
+    nodes = diff1.age_grid.nodes
+    assert np.array_equal(hat.sample(nodes), np.stack([hat(a) for a in nodes]))
+
+
+def test_sample_rejects_one_bad_age(scal0):
+    nodes = scal0.age_grid.nodes
+    bad = float(nodes[7])
+    op = _with_bad_age(scal0.operator, bad, np.full((1, 1), np.nan))
+    named = re.escape(f"a={bad!r}")
+    with pytest.raises(ke.ValidationError, match=f"not finite at t=0.25, {named}"):
+        op.sample(0.25, nodes)
+    with pytest.raises(ke.ValidationError, match=named):
+        op(0.25, bad)
+    assert op.sample(0.25, nodes[:7]).shape == (7, 1, 1)
+    wrong = _with_bad_age(scal0.operator, bad, np.zeros((2, 2)))
+    with pytest.raises(ke.ValidationError, match="returned shape"):
+        wrong.sample(0.25, nodes)
+
+
+def test_solvers_reject_a_field_non_finite_at_one_age(scal0):
+    phi = ke.make_profile(scal0, "ones")
+    mid = 3.5 * scal0.age_grid.step
+    sc = dataclasses.replace(
+        scal0, operator=_with_bad_age(scal0.operator, mid, np.full((1, 1), np.nan)), caches={}
+    )
+    with pytest.raises(ke.ValidationError, match=re.escape(f"a={mid!r}")):
+        ke.apply_semigroup(sc, 0.0, 0.5, phi)
+    node = float(scal0.age_grid.nodes[5])
+    sc = dataclasses.replace(
+        scal0, operator=_with_bad_age(scal0.operator, node, np.full((1, 1), np.inf)), caches={}
+    )
+    with pytest.raises(ke.ValidationError, match=re.escape(f"a={node!r}")):
+        ke.solve_direct(sc, phi, 0.1)
+
+
+@pytest.mark.parametrize("name", ["DIFF1", "QDIFF"])
+def test_apply_generator_matches_nodewise_loop(name):
+    sc = ke.preset_scenario(name)
+    phi = ke.make_profile(sc, "age_bump")
+    deriv = ke.upwind_derivative(phi).values
+    loop = np.stack([
+        sc.operator(0.3, a) @ phi.values[i] - deriv[i]
+        for i, a in enumerate(sc.age_grid.nodes)
+    ])
+    assert np.array_equal(ke.apply_generator(sc, 0.3, phi).values, loop)
+
+
+@pytest.mark.parametrize(
+    "birth", [{"kind": "constant", "beta": 0.5}, {"kind": "hat", "beta": 2.0}]
+)
+def test_birth_norm_matches_nodewise_max(birth, monkeypatch):
+    from kato_evolve import core
+
+    sc = ke.preset_scenario("DIFF1", birth=birth)
+    mats = sc.birth_matrices()
+    base = max(ke.matrix_norm(m, sc.norm) for m in mats)
+    graph = max(core.graph_to_graph_norm(sc, m) for m in mats)
+    calls = []
+    real = core.graph_to_graph_norm
+    monkeypatch.setattr(core, "graph_to_graph_norm", lambda s, m: calls.append(1) or real(s, m))
+    assert sc.birth_norm(0) == base
+    assert sc.birth_norm(1) == graph
+    if birth["kind"] == "constant":
+        assert len(calls) == 1
+
+
+def test_age_grid_arrays_are_built_once():
+    g = ke.AgeGrid(1.0, 8)
+    assert g.nodes is g.nodes and g.weights is g.weights
+    assert not g.nodes.flags.writeable and not g.weights.flags.writeable
+    assert g == ke.AgeGrid(1.0, 8) and hash(g) == hash(ke.AgeGrid(1.0, 8))

@@ -85,10 +85,28 @@ def test_solve_direct_validation(scal0):
         ke.solve_direct(scal0, phi, 0.005)
 
 
-def test_time_independent_solver_is_cached(scal0):
-    phi = ke.make_profile(scal0, "ones")
-    ke.solve_direct(scal0, phi, 0.05)
-    assert ("oracle_inv", 0.0) in scal0.caches
+@pytest.mark.parametrize("name", ["SCAL0", "QDIFF", "DIFF1"])
+def test_solve_direct_matches_nodewise_inverse_march(name):
+    sc = ke.preset_scenario(name)
+    g = sc.age_grid
+    h = g.step
+    phi = ke.make_profile(sc, "age_bump")
+    n_steps = 16
+    eye = np.eye(sc.dim)
+    values = np.array(phi.values)
+    reference = [values]
+    for k in range(1, n_steps + 1):
+        shifted = np.concatenate([values[:1], values[:-1]])
+        values = np.stack([
+            np.linalg.inv(eye - h * sc.operator(k * h, a)) @ shifted[i]
+            for i, a in enumerate(g.nodes)
+        ])
+        values[0] = ke.birth_quadrature(sc, values)
+        reference.append(values)
+    direct = ke.solve_direct(sc, phi, n_steps * h)
+    got = np.stack([state.values for state in direct.states])
+    reference = np.stack(reference)
+    assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_compare_discrepancy_shrinks_first_order(scal0):

@@ -173,3 +173,17 @@ def test_birth_derivative_residual_validates_stencil(mort1):
     psi = ke.make_profile(mort1, "ones")
     with pytest.raises(ke.ValidationError):
         ke.birth_derivative_residual(mort1, 0.0, psi, 0.0)
+
+
+@pytest.mark.parametrize("name", ["SCAL0", "DIFF1"])
+def test_boundary_solve_matches_lu_solve(name):
+    from scipy.linalg import lu_factor, lu_solve
+
+    from kato_evolve.renewal import _boundary_solve
+
+    sc = ke.preset_scenario(name)
+    h = sc.age_grid.step
+    mat = np.eye(sc.dim) - 0.5 * h * sc.birth_matrices()[0]
+    rhs = np.random.default_rng(3).standard_normal(sc.dim)
+    assert np.array_equal(_boundary_solve(sc, rhs), lu_solve(lu_factor(mat), rhs))
+    assert "boundary_lu" in sc.caches
