@@ -25,7 +25,7 @@ from .core import (
     make_profile,
     state_norm,
 )
-from .evolution import apply_evolution, convergence_study
+from .evolution import apply_evolution, convergence_study, eta_constant
 from .mild import (
     FORCING_NAMES,
     duhamel_residual,
@@ -262,7 +262,7 @@ def _cmd_evolve(args, scenario, phi):
         "tol": args.tol,
         "n_used": result.n_used,
         "cauchy_gap": result.cauchy_gap,
-        "eta": result.eta,
+        "eta": eta_constant(scenario),
         "gaps": [[n, g] for n, g in result.gaps],
         "norm_out": state_norm(scenario, result.value),
     }

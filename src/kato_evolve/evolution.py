@@ -58,16 +58,14 @@ class EvolutionResult:
     ``n_used`` names the partition level of ``value``.  ``cauchy_gap`` is the
     gap that triggered acceptance, measured between levels n and 2n; when the
     gap sat at the rounding floor the coarse level is returned, otherwise the
-    finer one.  ``gaps`` collects (n, gap) pairs in evaluation order; ``eta``
-    is the growth rate entering the exponential bound checks.  A value built
-    by Richardson extrapolation of the accepted pair is labeled by
-    ``extrapolated``.
+    finer one.  ``gaps`` collects (n, gap) pairs in evaluation order.  A
+    value built by Richardson extrapolation of the accepted pair is labeled
+    by ``extrapolated``.
     """
 
     value: StateVector
     n_used: int
     cauchy_gap: float
-    eta: float
     gaps: tuple = ()
     extrapolated: bool = False
 
@@ -152,8 +150,7 @@ def _gap(scenario, a, b):
 
 
 def apply_evolution(
-    scenario, t, s, phi, tol=1e-6, n_max=None, constants=None, extrapolate=False,
-    confirm=0,
+    scenario, t, s, phi, tol=1e-6, n_max=None, extrapolate=False, confirm=0
 ):
     """Evolve phi from time s to t, doubling the partition until Cauchy.
 
@@ -187,7 +184,6 @@ def apply_evolution(
     if tol <= 0:
         raise ValidationError("tol must be positive")
     phi_norm = state_norm(scenario, phi)
-    eta = eta_constant(scenario, constants)
     allowed = allowed_partitions(scenario, n_max)
     ns = []
     plans = []
@@ -198,14 +194,14 @@ def apply_evolution(
         ns.append(n)
         plans.append(plan)
     if phi_norm == 0.0:
-        return EvolutionResult(scenario.zero_state(), 1, 0.0, eta)
+        return EvolutionResult(scenario.zero_state(), 1, 0.0)
     if scenario.operator.time_independent:
         value = apply_approximant(scenario, 1, t, s, phi)
-        return EvolutionResult(value, 1, 0.0, eta)
+        return EvolutionResult(value, 1, 0.0)
     if len(ns) == 1:
         # one distinct plan across all levels: the ladder is a single point
         return EvolutionResult(apply_approximant(scenario, ns[0], t, s, phi),
-                               ns[0], 0.0, eta)
+                               ns[0], 0.0)
 
     evaluated = {}
 
@@ -227,8 +223,8 @@ def apply_evolution(
         n_used = ns[i_coarse + 1]
         if extrapolate:
             value = fine.with_values(2.0 * fine.values - coarse.values)
-            return EvolutionResult(value, n_used, gap, eta, tuple(history), True)
-        return EvolutionResult(fine, n_used, gap, eta, tuple(history))
+            return EvolutionResult(value, n_used, gap, tuple(history), True)
+        return EvolutionResult(fine, n_used, gap, tuple(history))
 
     threshold = tol * phi_norm
     history = []
@@ -241,11 +237,11 @@ def apply_evolution(
             # the pair already agrees to rounding, nothing to extrapolate
             streak = 0
             if i + 2 >= len(ns):
-                return EvolutionResult(level(ns[i]), ns[i], gap, eta, tuple(history))
+                return EvolutionResult(level(ns[i]), ns[i], gap, tuple(history))
             probe_gap, probe_floor = pair_gap(i + 1)
             history.append((ns[i + 1], probe_gap))
             if probe_gap <= probe_floor:
-                return EvolutionResult(level(ns[i]), ns[i], gap, eta, tuple(history))
+                return EvolutionResult(level(ns[i]), ns[i], gap, tuple(history))
             if probe_gap <= threshold:
                 streak = 1
                 if streak > confirm:
@@ -263,7 +259,7 @@ def apply_evolution(
         # every remaining level repeats the last distinct plan, so the next
         # pair gap is structurally zero and the value is terminal
         history.append((ns[-1], 0.0))
-        return EvolutionResult(level(ns[-1]), ns[-1], 0.0, eta, tuple(history))
+        return EvolutionResult(level(ns[-1]), ns[-1], 0.0, tuple(history))
     raise ConvergenceError(
         f"no Cauchy acceptance at tol={tol!r} within partition counts "
         f"{ns}; gaps: {[(n, float(g)) for n, g in history]}",
@@ -298,7 +294,7 @@ def evolution_bound_margin(scenario, t, s, phi, constants=None, tol=1e-6, slack=
     """Margin of the exponential growth bound on the evolved state."""
     if constants is None:
         constants = default_constants(scenario)
-    result = apply_evolution(scenario, t, s, phi, tol, constants=constants)
+    result = apply_evolution(scenario, t, s, phi, tol)
     rate = constants.omega0 + constants.m0 * scenario.birth_norm(0)
     bound = (
         constants.m0

@@ -24,8 +24,7 @@ from .core import (
     make_profile,
     state_norm,
 )
-from .evolution import apply_evolution
-from .evolution import apply_approximant
+from .evolution import apply_approximant, apply_evolution
 from .propagator import default_constants
 
 FORCING_NAMES = ("constant", "pulse", "sinusoid")
@@ -63,18 +62,19 @@ def _eval_forcing(scenario, forcing, sigma):
     return np.array(values, dtype=float)
 
 
-def _march(scenario, phi, forcing, times, n):
+def _march(scenario, phi, times, n, forcing=None):
+    """States at each node of ``times``; ``forcing`` adds the half-steps above."""
     half = 0.5 * (times[1] - times[0])
+    f = None if forcing is None else [_eval_forcing(scenario, forcing, t) for t in times]
     states = [phi]
     current = phi
-    f_prev = _eval_forcing(scenario, forcing, times[0])
     for j in range(1, len(times)):
-        f_next = _eval_forcing(scenario, forcing, times[j])
-        fed = current.with_values(current.values + half * f_prev)
-        moved = apply_approximant(scenario, n, times[j], times[j - 1], fed)
-        current = moved.with_values(moved.values + half * f_next)
+        if f is not None:
+            current = current.with_values(current.values + half * f[j - 1])
+        current = apply_approximant(scenario, n, times[j], times[j - 1], current)
+        if f is not None:
+            current = current.with_values(current.values + half * f[j])
         states.append(current)
-        f_prev = f_next
     return states
 
 
@@ -102,7 +102,7 @@ def solve_forced(scenario, phi, forcing, t_end, tol=1e-6, n_max=None):
     else:
         n = apply_evolution(scenario, t_end, 0.0, probe, tol=tol, n_max=n_max).n_used
     times = tuple(j * dt for j in range(m + 1))
-    states = _march(scenario, phi, forcing, times, n)
+    states = _march(scenario, phi, times, n, forcing)
     return ForcedTrajectory(times, tuple(states), n, dt)
 
 
@@ -125,7 +125,7 @@ def duhamel_residual(scenario, trajectory, phi, forcing):
     half_dt = 0.5 * trajectory.step
     scenario.age_grid.index_of(half_dt, "half quadrature step")
     times = tuple(j * half_dt for j in range(2 * m + 1))
-    refined = _march(scenario, phi, forcing, times, trajectory.n_used)
+    refined = _march(scenario, phi, times, trajectory.n_used, forcing)
     worst = 0.0
     for j, state in enumerate(trajectory.states):
         twin = refined[2 * j]

@@ -1,8 +1,8 @@
 """Finite products of frozen-time semigroups and their growth bounds.
 
 A product plan is a nondecreasing list of frozen times with one grid-aligned
-duration each.  The product can be evaluated two ways: folding the semigroup
-factor by factor, or through the closed-form casework that reads off, per
+duration each.  The product can be evaluated two ways: marching the factors
+in one pass, or through the closed-form casework that reads off, per
 age node, which factor's birth trajectory seeds the value and which
 propagator chains carry it up the age axis.  Agreement of the two paths is
 the module's central check.
@@ -29,7 +29,7 @@ from .core import (
     state_norm,
 )
 from .propagator import propagate_indices
-from .renewal import solve_birth
+from .renewal import _march_plan, solve_birth
 from .semigroup import apply_semigroup
 
 __all__ = [
@@ -111,12 +111,11 @@ def _plan_steps(scenario, plan):
 
 
 def apply_product_sequential(scenario, plan, phi):
-    """Fold the semigroup factors in order (first entry acts first)."""
-    _plan_steps(scenario, plan)
-    state = phi
-    for t, s in zip(plan.times, plan.durations):
-        state = apply_semigroup(scenario, t, s, state)
-    return state
+    """March the factors in order (first entry acts first) in one pass."""
+    steps = _plan_steps(scenario, plan)
+    values = _march_plan(scenario, zip(plan.times, steps), phi.values)
+    values.flags.writeable = False
+    return phi.with_values(values)
 
 
 def apply_product_direct(scenario, plan, phi):

@@ -24,7 +24,8 @@ from .core import (
     matrix_norm,
     state_norm,
 )
-from .evolution import apply_approximant, apply_evolution, eta_constant
+from .evolution import apply_evolution, eta_constant
+from .mild import _march
 from .propagator import default_constants
 
 
@@ -165,10 +166,8 @@ def continuous_dependence_gap(scenario, a1, a2, phi, s, t, tol=1e-6, constants=N
     """
     if constants is None:
         constants = default_constants(scenario)
-    u1 = apply_evolution(scenario._with_operator(a1), t, s, phi, tol=tol,
-                         constants=constants).value
-    u2 = apply_evolution(scenario._with_operator(a2), t, s, phi, tol=tol,
-                         constants=constants).value
+    u1 = apply_evolution(scenario._with_operator(a1), t, s, phi, tol=tol).value
+    u2 = apply_evolution(scenario._with_operator(a2), t, s, phi, tol=tol).value
     lhs = state_norm(scenario, u1.with_values(u1.values - u2.values))
     taus = np.linspace(s, t, 65)
     nodes = scenario.age_grid.nodes
@@ -218,16 +217,8 @@ def _picard_step(scenario, problem, times, states, tol):
     field = _trajectory_field(scenario, problem, times, states)
     scen = scenario._with_operator(field)
     phi = problem.ball_center
-    # The ladder reads no bound constants, so the caller's estimate serves
-    # every step instead of a fresh estimate on each new field.
-    constants = default_constants(scenario)
-    n = apply_evolution(scen, times[-1], 0.0, phi, tol=tol, constants=constants).n_used
-    out = [phi]
-    current = phi
-    for j in range(1, len(times)):
-        current = apply_approximant(scen, n, times[j], times[j - 1], current)
-        out.append(current)
-    return tuple(out), n
+    n = apply_evolution(scen, times[-1], 0.0, phi, tol=tol).n_used
+    return tuple(_march(scen, phi, times, n)), n
 
 
 def _trajectory_gap(scenario, new_states, old_states, times):

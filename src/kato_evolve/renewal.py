@@ -13,7 +13,9 @@ condition is one composite trapezoid quadrature of the shifted profile, so
 the discrete birth trajectory is EXACTLY the birth integral of the discrete
 evolved profile, up to the per-step d x d solve with matrix I - (h/2) b(0)
 for the unknown B(s_k) at the a = 0 endpoint.  The march, its warm restart
-and the evolved profile run the same shift loop; no chain is formed.
+and the evolved profile run the same shift loop; no chain is formed.  The
+march also evolves product plans, each factor restarting it from the
+current profile, with no replay.
 
 The march is first order at the branch seam for incompatible data and second
 order for balanced profiles; both refine under grid halving.
@@ -58,9 +60,6 @@ class BirthTrajectory:
     @property
     def n_steps(self):
         return self.values.shape[0] - 1
-
-    def at_index(self, k):
-        return self.values[k]
 
 
 def _boundary_solve(scenario, rhs):
@@ -124,27 +123,32 @@ def transported_rows(scenario, t, phi_values, level):
     return _profile_at(scenario, t, phi_values, births, level)[level:]
 
 
-def _march(scenario, t, phi_values, n_steps, warm=None):
-    """Run the renewal march for ``n_steps`` steps, optionally extending.
+def _march(scenario, t, u, fluxes):
+    """Advance profile u in place by len(fluxes) age steps at frozen time t.
 
-    Each step shifts the whole profile by one age cell through the step
-    maps, then solves the boundary system for the newborn flux at node 0.
-    ``warm`` may hold the values of a shorter march of the same profile; the
-    profile at its last step is replayed from them and the march continues.
+    Each step shifts u one age cell through the step maps and solves the
+    boundary system for the newborn flux, stored in u[0] and ``fluxes``.
     """
-    if warm is None:
-        warm = birth_quadrature(scenario, phi_values)[None, :]
-    start = warm.shape[0]
-    B = np.empty((n_steps + 1, scenario.dim))
-    B[:start] = warm
-    u = _profile_at(scenario, t, phi_values, B, start - 1)
     steps = _frozen_maps(scenario, t)
-    for k in range(start, n_steps + 1):
+    for k in range(len(fluxes)):
         _shift(steps, u)
         u[0] = 0.0  # slot of the implicit unknown
-        B[k] = _boundary_solve(scenario, birth_quadrature(scenario, u))
-        u[0] = B[k]
-    return B
+        fluxes[k] = _boundary_solve(scenario, birth_quadrature(scenario, u))
+        u[0] = fluxes[k]
+
+
+def _march_plan(scenario, schedule, phi_values):
+    """Profile evolved through (frozen time, steps) factors, first pair first.
+
+    Each factor starts a cold march from the current profile; its fluxes
+    are not kept.
+    """
+    u = np.array(phi_values, dtype=float)
+    for t, m in schedule:
+        if m > 0:
+            u[0] = birth_quadrature(scenario, u)
+            _march(scenario, t, u, np.empty((m, scenario.dim)))
+    return u
 
 
 def solve_birth(scenario, t, phi, s_max):
@@ -169,8 +173,15 @@ def solve_birth(scenario, t, phi, s_max):
         if cached.n_steps == n_steps:
             return cached
         return BirthTrajectory(t, g.step, cached.values[: n_steps + 1])
-    warm = cached.values if cached is not None else None
-    values = _march(scenario, t, phi.values, n_steps, warm=warm)
+    if cached is None:
+        known = birth_quadrature(scenario, phi.values)[None, :]
+    else:  # warm restart: replay the cached fluxes and march on
+        known = cached.values
+    start = known.shape[0]
+    values = np.empty((n_steps + 1, scenario.dim))
+    values[:start] = known
+    u = _profile_at(scenario, t, phi.values, values, start - 1)
+    _march(scenario, t, u, values[start:])
     values.flags.writeable = False
     traj = BirthTrajectory(t, g.step, values)
     scenario.caches[key] = traj

@@ -11,11 +11,12 @@ On the aligned grid one age step of this action is one shift of the whole
 profile through the frozen time's cached step maps (one scenario cache entry
 per frozen time, see the propagator module) followed by one boundary solve
 for node 0.  The evolved profile is built by the same shift loop the renewal
-march runs, replaying the march's fluxes, and no chain U_t(a_i, 0) is
-cached.  Because the birth trajectory is defined through the same
-quadrature and the same loop, the semigroup law holds to rounding on the
-aligned grid (see renewal module docstring), not merely to quadrature
-accuracy.
+march runs, replaying the march's cached fluxes; no chain U_t(a_i, 0) is
+cached.  The replay serves direct semigroup calls only, where one cached
+trajectory serves many spans; products march without it.  Because the
+birth trajectory is defined through the same quadrature and the same loop,
+the semigroup law holds to rounding on the aligned grid (see renewal
+module docstring), not merely to quadrature accuracy.
 """
 
 from __future__ import annotations

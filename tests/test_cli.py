@@ -1,10 +1,12 @@
 """Command line surface: exit codes, determinism, emitted files."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+import kato_evolve as ke
 from kato_evolve.cli import main, thread_cap
 
 
@@ -188,3 +190,10 @@ def test_convergence_study_csv(capsys, tmp_path):
     assert ns == [1, 2, 4, 8, 16, 32]
     payload = json.loads(out)
     assert len(payload["rows"]) == len(ns)
+
+
+def test_evolve_reports_the_scenario_eta(capsys):
+    assert "eta" not in {f.name for f in dataclasses.fields(ke.EvolutionResult)}
+    code, out, _ = run(capsys, "evolve", "--preset", "QDIFF", "--t", "0.25", "--tol", "1e-3")
+    assert code == 0
+    assert json.loads(out)["eta"] == ke.eta_constant(ke.preset_scenario("QDIFF"))

@@ -1,5 +1,7 @@
 """Doubling ladder of piecewise-frozen products and its acceptance logic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,16 @@ def test_evolution_bound_margin_nonnegative(diff1, tilted):
     for t in (0.25, 0.5, 0.875):
         margin = ke.evolution_bound_margin(diff1, t, 0.0, tilted, tol=1e-4, slack=0.05)
         assert margin >= 0.0
+
+
+def test_ladder_keeps_no_birth_trajectories_or_bound_constants(diff1, tilted):
+    sc = dataclasses.replace(diff1, caches={})
+    ke.apply_product_sequential(sc, ke.approximant_plan(sc, 4, 0.5, 0.0), tilted)
+    ke.apply_evolution(sc, 0.5, 0.0, tilted, tol=1e-4)
+    assert not [k for k in sc.caches if isinstance(k, tuple) and k[0] == "birth"]
+    for key in ("default_constants", ("birth_norm", 0), ("birth_norm", 1),
+                "reference_directions"):
+        assert key not in sc.caches
 
 
 def test_eta_constant_positive_and_deterministic(diff1):

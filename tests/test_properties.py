@@ -49,3 +49,26 @@ def test_semigroup_law_and_birth_identity(case, t):
     bound = tol.semigroup * ke.state_norm(sc, phi)
     assert ke.semigroup_property_residual(sc, t, m1 * h, m2 * h, phi) <= bound
     assert ke.birth_identity_residual(sc, t, phi, m * h) < tol.volterra
+
+
+@hypothesis.settings(max_examples=25, derandomize=True)
+@hypothesis.given(cases(), st.data())
+def test_product_paths_agree(case, data):
+    sc, seed, *_ = case
+    n, h = sc.age_grid.n_age, sc.age_grid.step
+    k = data.draw(st.integers(1, 4))
+    times = sorted(data.draw(st.lists(st.integers(0, n), min_size=k, max_size=k)))
+    steps = data.draw(st.lists(st.integers(0, 2 * n + 3), min_size=k, max_size=k))
+    # the direct path reads birth trajectories as long as the whole plan
+    hypothesis.assume(sum(steps) * h <= sc.s_max)
+    plan = ke.ProductPlan(tuple(i * h for i in times), tuple(m * h for m in steps))
+    rng = np.random.default_rng(seed)
+    phi = ke.StateVector(sc.age_grid, rng.uniform(-1.0, 1.0, (n + 1, sc.dim)))
+    seq = ke.apply_product_sequential(sc, plan, phi)
+    direct = ke.apply_product_direct(sc, plan, phi)
+    gap = ke.state_norm(sc, seq.with_values(seq.values - direct.values))
+    assert gap <= sc.tolerances.composition * ke.state_norm(sc, phi)
+    folded = phi
+    for t, s in zip(plan.times, plan.durations):
+        folded = ke.apply_semigroup(sc, t, s, folded)
+    assert np.array_equal(seq.values, folded.values)
