@@ -53,9 +53,6 @@ from .renewal import birth_identity_residual, solve_birth
 from .semigroup import apply_semigroup, semigroup_property_residual
 from .verify import run_verification
 
-THREADS_VAR = "KATO_EVOLVE_THREADS"
-
-
 class _UsageError(Exception):
     pass
 
@@ -63,27 +60,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
-
-
-def thread_cap():
-    """Validated value of the parallelism cap variable (None when unset).
-
-    The package starts no threads or processes of its own, but the OpenBLAS
-    builds under numpy and scipy thread the d x d matrix products, one
-    thread per core by default; ``OPENBLAS_NUM_THREADS`` caps those threads.
-    This variable does not set that cap; it is validated here so
-    misconfiguration fails loudly instead of silently doing nothing.
-    """
-    raw = os.environ.get(THREADS_VAR)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{THREADS_VAR} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValidationError(f"{THREADS_VAR} must be at least 1, got {cap}")
-    return cap
 
 
 def _build_parser():
@@ -178,6 +154,7 @@ def _fmt(x):
 
 
 def _json_clean(obj):
+    """obj with numpy scalars as Python numbers and non-finite floats as None."""
     if isinstance(obj, dict):
         return {k: _json_clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -186,7 +163,7 @@ def _json_clean(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        return None if math.isnan(x) else x
+        return x if math.isfinite(x) else None
     return obj
 
 
@@ -412,7 +389,6 @@ def main(argv=None):
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        thread_cap()
         scenario = _load_scenario(args)
         phi = make_profile(scenario, args.profile, seed=args.seed)
         payload, files = _HANDLERS[args.command](args, scenario, phi)
@@ -432,7 +408,7 @@ def main(argv=None):
         return 1
 
     payload = {"command": args.command, "scenario": scenario.label, **payload}
-    document = json.dumps(_json_clean(payload), sort_keys=True, indent=2)
+    document = json.dumps(_json_clean(payload), sort_keys=True, indent=2, allow_nan=False)
     print(document)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -192,39 +192,41 @@ class StateVector:
 
 
 def _sample(evaluate, ages, dim, what, at=""):
-    """Stack evaluate(a) over ages, (len(ages), d, d), checked once.
+    """evaluate(ages) as one (len(ages), d, d) stack, copied and checked once.
 
     A wrong shape or a non-finite entry at any age raises ValidationError;
     the finiteness message names the first bad age.
     """
-    ages = np.asarray(ages, dtype=float).tolist()
-    stack = np.empty((len(ages), dim, dim))
-    for i, a in enumerate(ages):
-        mat = np.asarray(evaluate(a), dtype=float)
-        if mat.shape != (dim, dim):
-            raise ValidationError(f"{what} returned shape {mat.shape}, expected {(dim, dim)}")
-        stack[i] = mat
+    ages = np.asarray(ages, dtype=float)
+    stack = np.array(evaluate(ages), dtype=float)
+    if stack.shape != (len(ages), dim, dim):
+        raise ValidationError(
+            f"{what} returned shape {stack.shape}, expected {(len(ages), dim, dim)}"
+        )
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
-        raise ValidationError(f"{what} is not finite at {at}a={ages[np.argmin(finite)]!r}")
+        raise ValidationError(
+            f"{what} is not finite at {at}a={float(ages[np.argmin(finite)])!r}"
+        )
     return stack
 
 
 @dataclass(frozen=True)
 class OperatorField:
-    """Age/time dependent generator matrix field A(t, a), d x d per node.
+    """Age/time dependent generator matrix field A(t, a), d x d per age.
 
-    ``evaluate(t, a)`` must be deterministic.  ``lipschitz_t`` is an optional
-    declared Lipschitz constant of t -> A(t, .) in the operator norm;
-    0.0 marks a field with no time dependence: the evolution ladder then
-    stops at one level, but no cached result is keyed on it.  ``sample``
-    evaluates the frozen field over a whole age grid in one checked call.
+    ``evaluate(t, ages)`` takes a frozen time and a 1-d float array of ages
+    and returns the (len(ages), d, d) stack of A(t, a) over them; it must be
+    deterministic.  It is called once per sample, never once per age.
+    ``lipschitz_t`` is an optional declared Lipschitz constant of
+    t -> A(t, .) in the operator norm; 0.0 marks a field with no time
+    dependence: the evolution ladder then stops at one level, but no cached
+    result is keyed on it.  ``sample`` is the one checked path to the field.
     """
 
     dim: int
     evaluate: object
     lipschitz_t: float | None = None
-    holder_age: tuple | None = None
     label: str = "operator"
 
     def sample(self, t, ages):
@@ -242,7 +244,11 @@ class OperatorField:
 
 @dataclass(frozen=True)
 class BirthKernel:
-    """Birth kernel a -> b(a), an entrywise nonnegative d x d matrix."""
+    """Birth kernel a -> b(a), an entrywise nonnegative d x d matrix.
+
+    ``evaluate(ages)`` returns the (len(ages), d, d) stack of b(a) over a
+    1-d float array of ages; ``sample`` is the one checked path to it.
+    """
 
     dim: int
     evaluate: object
@@ -368,7 +374,6 @@ class Scenario:
     integrator_order: int = 2
     tolerances: Tolerances = field(default_factory=Tolerances)
     s_max_factor: float = 10.0
-    constants: StabilityConstants | None = None
     label: str = "custom"
     config: tuple = ()
     caches: dict = field(default_factory=dict, repr=False, compare=False)
@@ -625,14 +630,21 @@ def neumann_laplacian(d):
     return lap / hx**2
 
 
+def _broadcast(mat, ages):
+    """The fixed matrix mat at every age, as a read-only (len(ages), d, d) view."""
+    return np.broadcast_to(mat, (len(ages), *mat.shape))
+
+
 def _zero_operator(d):
     zero = np.zeros((d, d))
-    return OperatorField(d, lambda t, a: zero, lipschitz_t=0.0, label="zero")
+    return OperatorField(d, lambda t, ages: _broadcast(zero, ages), lipschitz_t=0.0,
+                         label="zero")
 
 
 def _mortality_operator(d, mu):
     mat = -float(mu) * np.eye(d)
-    return OperatorField(d, lambda t, a: mat, lipschitz_t=0.0, label=f"mortality(mu={mu})")
+    return OperatorField(d, lambda t, ages: _broadcast(mat, ages), lipschitz_t=0.0,
+                         label=f"mortality(mu={mu})")
 
 
 def _modulated_laplacian_operator(d, a_max, kappa0, time_amplitude, age_slope):
@@ -642,9 +654,9 @@ def _modulated_laplacian_operator(d, a_max, kappa0, time_amplitude, age_slope):
     amp = float(time_amplitude)
     slope = float(age_slope)
 
-    def evaluate(t, a):
-        kappa = k0 * (1.0 + amp * math.sin(2.0 * math.pi * t)) * (1.0 + slope * a / a_max)
-        return kappa * lap
+    def evaluate(t, ages):
+        kappa = k0 * (1.0 + amp * math.sin(2.0 * math.pi * t)) * (1.0 + slope * ages / a_max)
+        return kappa[:, None, None] * lap
 
     lip = k0 * abs(amp) * 2.0 * math.pi * (1.0 + abs(slope)) * float(np.linalg.norm(lap, 2))
     return OperatorField(
@@ -659,7 +671,7 @@ def _constant_birth(d, beta):
     mat = float(beta) * np.eye(d)
     if beta < 0:
         raise ValidationError("birth rate beta must be nonnegative")
-    return BirthKernel(d, lambda a: mat, label=f"constant(beta={beta})")
+    return BirthKernel(d, lambda ages: _broadcast(mat, ages), label=f"constant(beta={beta})")
 
 
 def _hat_birth(d, beta, a_max):
@@ -667,9 +679,9 @@ def _hat_birth(d, beta, a_max):
     eye = np.eye(d)
     peak = a_max / 2.0
 
-    def evaluate(a):
-        height = max(0.0, 1.0 - abs(a - peak) / peak)
-        return float(beta) * height * eye
+    def evaluate(ages):
+        height = np.maximum(0.0, 1.0 - np.abs(ages - peak) / peak)
+        return (float(beta) * height)[:, None, None] * eye
 
     return BirthKernel(d, evaluate, label=f"hat(beta={beta})")
 

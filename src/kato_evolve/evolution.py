@@ -337,8 +337,8 @@ def convergence_study(scenario, t, s, phi, n_values=None):
     """Gap table of the doubling ladder: rows (n, gap to level 2n, rate).
 
     The rate column holds log2 of the previous gap over the current one
-    (nan for the first row).  For fields Lipschitz in time the gaps decay
-    at first order, rate near 1.
+    (nan for the first row and wherever either gap is zero).  For fields
+    Lipschitz in time the gaps decay at first order, rate near 1.
     """
     if n_values is None:
         n_values = allowed_partitions(scenario)
@@ -349,7 +349,10 @@ def convergence_study(scenario, t, s, phi, n_values=None):
         coarse = apply_approximant(scenario, n, t, s, phi)
         fine = apply_approximant(scenario, 2 * n, t, s, phi)
         gap = _gap(scenario, coarse, fine)
-        rate = float("nan") if prev_gap is None else float(np.log2(prev_gap / gap))
+        if prev_gap is not None and prev_gap > 0 and gap > 0:
+            rate = float(np.log2(prev_gap / gap))
+        else:
+            rate = float("nan")
         rows.append((n, gap, rate))
         prev_gap = gap
     return rows

@@ -63,7 +63,9 @@ def solve_direct(scenario, phi, t_end):
         shifted = np.empty_like(values)
         shifted[1:] = values[:-1]
         shifted[0] = values[0]
-        implicit = eye - step * scenario.operator.sample(t_new, g.nodes)
+        implicit = scenario.operator.sample(t_new, g.nodes)  # a private copy
+        implicit *= -step
+        implicit += eye
         values = np.linalg.solve(implicit, shifted[:, :, None])[:, :, 0]
         values[0] = birth_quadrature(scenario, values)
         times.append(t_new)

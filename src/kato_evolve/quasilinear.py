@@ -33,11 +33,14 @@ from .propagator import default_constants
 class QuasilinearProblem:
     """State-coupled operator family with its declared contraction data.
 
-    ``operator_of_state(v, t, a)`` returns the d x d generator matrix felt
-    by a population whose current profile is v.  ``lipschitz_l`` bounds the
-    state sensitivity of that map in the base norm, ``ball_radius`` and
-    ``ball_center`` fix the trust ball, and ``lp_mode`` (p, n_zero), when
-    set, additionally confines iterates in the discrete L_p-in-age norm.
+    ``operator_of_state(v, t, ages)`` returns the (len(ages), d, d) stack of
+    generator matrices felt over the 1-d age array ``ages`` at time t by a
+    population whose current profile is v: the contract of
+    ``OperatorField.evaluate`` with the state in front.  ``lipschitz_l``
+    bounds the state sensitivity of that map in the base norm,
+    ``ball_radius`` and ``ball_center`` fix the trust ball, and ``lp_mode``
+    (p, n_zero), when set, additionally confines iterates in the discrete
+    L_p-in-age norm.
     """
 
     operator_of_state: object
@@ -119,7 +122,7 @@ def check_lipschitz(problem, scenario, samples=8, seed=0):
     if samples < 1:
         raise ValidationError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    g = scenario.age_grid
+    nodes = scenario.age_grid.nodes
     center = problem.ball_center
     horizon = scenario.time_grid.horizon
     observed = 0.0
@@ -131,14 +134,9 @@ def check_lipschitz(problem, scenario, samples=8, seed=0):
         if dv == 0.0:
             continue
         t = float(rng.uniform(0.0, horizon))
-        worst = max(
-            matrix_norm(
-                np.asarray(problem.operator_of_state(v1, t, a))
-                - np.asarray(problem.operator_of_state(v2, t, a)),
-                scenario.norm,
-            )
-            for a in g.nodes
-        )
+        gaps = (np.asarray(problem.operator_of_state(v1, t, nodes))
+                - np.asarray(problem.operator_of_state(v2, t, nodes)))
+        worst = max(matrix_norm(m, scenario.norm) for m in gaps)
         observed = max(observed, worst / dv)
     exceeded = observed > problem.lipschitz_l * (1 + 1e-9)
     return LipschitzReport(float(observed), problem.lipschitz_l, exceeded)
@@ -185,30 +183,24 @@ def continuous_dependence_gap(scenario, a1, a2, phi, s, t, tol=1e-6, constants=N
 def _trajectory_field(scenario, problem, times, states):
     """Operator field obtained by freezing a trajectory inside the family.
 
-    The trajectory is interpolated linearly in time; blended states are
-    memoized per requested time since one sample of the field evaluates it
-    once per age node at the same frozen time.
+    The trajectory is interpolated linearly in time.  Each sample of the
+    field blends the state at its frozen time once and hands the whole age
+    array to ``operator_of_state`` in one call.
     """
     values = [s.values for s in states]
     n_nodes = len(times)
     dt = times[1] - times[0] if n_nodes > 1 else 1.0
-    cache = {}
 
-    def state_at(t):
-        if t not in cache:
-            if n_nodes == 1:
-                blended = values[0]
-            else:
-                x = (t - times[0]) / dt
-                x = min(max(x, 0.0), n_nodes - 1)
-                j = min(int(x), n_nodes - 2)
-                w = x - j
-                blended = (1.0 - w) * values[j] + w * values[j + 1]
-            cache[t] = StateVector(scenario.age_grid, blended)
-        return cache[t]
-
-    def evaluate(t, a):
-        return problem.operator_of_state(state_at(t), t, a)
+    def evaluate(t, ages):
+        if n_nodes == 1:
+            blended = values[0]
+        else:
+            x = (t - times[0]) / dt
+            x = min(max(x, 0.0), n_nodes - 1)
+            j = min(int(x), n_nodes - 2)
+            w = x - j
+            blended = (1.0 - w) * values[j] + w * values[j + 1]
+        return problem.operator_of_state(StateVector(scenario.age_grid, blended), t, ages)
 
     return OperatorField(scenario.dim, evaluate, lipschitz_t=None, label="state-coupled")
 
@@ -376,8 +368,10 @@ def norm_coupled_diffusion(scenario, epsilon, radius, center=None, lp_mode=None)
         for m in scenario.operator.sample(t, scenario.age_grid.nodes)
     )
 
-    def operator_of_state(v, t, a):
-        return (1.0 + epsilon * state_norm(scenario, v)) * scenario.operator(t, a)
+    def operator_of_state(v, t, ages):
+        stack = scenario.operator.sample(t, ages)
+        stack *= 1.0 + epsilon * state_norm(scenario, v)
+        return stack
 
     return QuasilinearProblem(
         operator_of_state=operator_of_state,

@@ -4,10 +4,11 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 import kato_evolve as ke
-from kato_evolve.cli import main, thread_cap
+from kato_evolve.cli import _json_clean, main
 
 
 def run(capsys, *argv):
@@ -108,21 +109,20 @@ def test_non_finite_scenario_field_fails_cleanly(capsys, tmp_path):
     assert "birth.beta" in lines[0]
 
 
-def test_thread_cap_validation(monkeypatch):
-    monkeypatch.delenv("KATO_EVOLVE_THREADS", raising=False)
-    assert thread_cap() is None
-    monkeypatch.setenv("KATO_EVOLVE_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("KATO_EVOLVE_THREADS", "zero")
-    with pytest.raises(Exception):
-        thread_cap()
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
-def test_bad_thread_cap_fails_the_command(capsys, monkeypatch):
-    monkeypatch.setenv("KATO_EVOLVE_THREADS", "0")
-    code, _, err = run(capsys, "semigroup", "--preset", "SCAL0", "--s", "0.01")
-    assert code == 1
-    assert "KATO_EVOLVE_THREADS" in err
+def test_output_is_strict_json(capsys):
+    # levels 1 and 2 share a plan at t = 0.5, so the first gap is zero
+    code, out, _ = run(capsys, "convergence-study", "--preset", "DIFF1", "--t", "0.5")
+    assert code == 0
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+    assert rows[0][1] == 0.0
+    assert rows[0][2] is None and rows[1][2] is None
+    assert all(rate is not None for _, _, rate in rows[2:])
+    cleaned = _json_clean({"m": [float("-inf"), np.float64(np.nan), np.float64(2.5), 3]})
+    assert json.loads(json.dumps(cleaned, allow_nan=False)) == {"m": [None, None, 2.5, 3]}
 
 
 def test_verify_passes_and_repeats_byte_identically(capsys):

@@ -1,6 +1,7 @@
 """Grids, scenario configuration, profiles, norms, and operator plumbing."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -70,10 +71,10 @@ def test_build_scenario_rejects_non_finite_fields(override):
 
 
 def test_sampled_fields_reject_non_finite_values():
-    op = ke.OperatorField(2, lambda t, a: np.full((2, 2), np.nan))
+    op = ke.OperatorField(2, lambda t, ages: np.full((len(ages), 2, 2), np.nan))
     with pytest.raises(ke.ValidationError, match="not finite"):
         op(0.0, 0.5)
-    birth = ke.BirthKernel(1, lambda a: np.array([[np.inf]]))
+    birth = ke.BirthKernel(1, lambda ages: np.full((len(ages), 1, 1), np.inf))
     with pytest.raises(ke.ValidationError, match="not finite"):
         birth(0.5)
 
@@ -285,7 +286,10 @@ def test_tolerances_defaults(scal0):
 def _with_bad_age(field, bad, value):
     """The operator field, returning ``value`` instead at the age ``bad``."""
     return dataclasses.replace(
-        field, evaluate=lambda t, a: value if a == bad else field.evaluate(t, a)
+        field,
+        evaluate=lambda t, ages: np.where(
+            (ages == bad)[:, None, None], value, field.evaluate(t, ages)
+        ),
     )
 
 
@@ -294,9 +298,17 @@ def test_sample_matches_stacked_calls(diff1):
     mids = (np.arange(diff1.age_grid.n_age) + 0.5) * h
     op = diff1.operator
     assert np.array_equal(op.sample(0.3, mids), np.stack([op(0.3, a) for a in mids]))
+    # the presets' whole-grid formulas against their per-age scalar arithmetic
+    lap = ke.neumann_laplacian(diff1.dim)
+    kappa = [0.1 * (1.0 + 0.5 * math.sin(2.0 * math.pi * 0.3)) * (1.0 + 1.0 * a / 1.0)
+             for a in mids.tolist()]
+    assert np.array_equal(op.sample(0.3, mids), np.stack([k * lap for k in kappa]))
     hat = ke.preset_scenario("DIFF1", birth={"kind": "hat", "beta": 2.0}).birth
     nodes = diff1.age_grid.nodes
     assert np.array_equal(hat.sample(nodes), np.stack([hat(a) for a in nodes]))
+    eye = np.eye(diff1.dim)
+    heights = [max(0.0, 1.0 - abs(a - 0.5) / 0.5) for a in nodes.tolist()]
+    assert np.array_equal(hat.sample(nodes), np.stack([2.0 * x * eye for x in heights]))
 
 
 def test_sample_rejects_one_bad_age(scal0):

@@ -1,5 +1,7 @@
 """Picard solver for the state-coupled problem."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,10 +54,11 @@ def test_problem_validation(qdiff):
 def test_norm_coupled_family_scales_the_field(qdiff):
     problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS)
     v = ke.make_profile(qdiff, "ones")
-    a = qdiff.age_grid.nodes[3]
-    got = np.asarray(problem.operator_of_state(v, 0.1, a))
-    base = np.asarray(qdiff.operator(0.1, a))
+    ages = qdiff.age_grid.nodes
+    got = problem.operator_of_state(v, 0.1, ages)
+    base = qdiff.operator.sample(0.1, ages)
     scale = 1.0 + EPS * ke.state_norm(qdiff, v)
+    assert got.shape == (len(ages), qdiff.dim, qdiff.dim)
     assert np.allclose(got, scale * base, rtol=0, atol=1e-15)
     with pytest.raises(ke.ValidationError):
         ke.norm_coupled_diffusion(qdiff, -0.1, RADIUS)
@@ -195,13 +198,11 @@ def test_too_tight_tolerance_propagates_ladder_failure(qdiff):
 
 
 def test_picard_steps_reuse_constants_and_birth_samples(qdiff, monkeypatch):
-    import dataclasses
-
     from kato_evolve import propagator
 
     births = []
     kernel = dataclasses.replace(
-        qdiff.birth, evaluate=lambda a: births.append(a) or qdiff.birth.evaluate(a)
+        qdiff.birth, evaluate=lambda ages: births.append(len(ages)) or qdiff.birth.evaluate(ages)
     )
     sc = dataclasses.replace(qdiff, birth=kernel, caches={})
     estimates = []
@@ -213,4 +214,27 @@ def test_picard_steps_reuse_constants_and_birth_samples(qdiff, monkeypatch):
     _, _, report = ke.solve_quasilinear(sc, problem, tol=TOL)
     assert len(report.sup_gaps) >= 2
     assert len(estimates) == 1
-    assert len(births) == sc.age_grid.n_age + 1  # sampled once, at construction
+    assert births == [sc.age_grid.n_age + 1]  # sampled once, at construction
+
+
+def test_coupled_field_takes_one_state_per_sample(qdiff, monkeypatch):
+    samples = []
+    sample = ke.OperatorField.sample
+
+    def counted(self, t, ages):
+        if self.label == "state-coupled":
+            samples.append(len(ages))
+        return sample(self, t, ages)
+
+    monkeypatch.setattr(ke.OperatorField, "sample", counted)
+    problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS, center=structured_center(qdiff))
+    calls = []
+
+    def operator_of_state(v, t, ages):
+        calls.append(len(ages))
+        return problem.operator_of_state(v, t, ages)
+
+    counted_problem = dataclasses.replace(problem, operator_of_state=operator_of_state)
+    ke.solve_quasilinear(qdiff, counted_problem, tol=TOL)
+    assert samples and calls == samples
+    assert min(calls) > 1
