@@ -31,7 +31,8 @@ print(
 trajectory, t_phi, report = ke.solve_quasilinear(sc, problem, tol=1e-3)
 print(f"\ncontraction horizon t_phi = {t_phi} after {report.halvings} halvings")
 print(f"iterate gaps: {[f'{g:.2e}' for g in report.sup_gaps]}")
-print(f"predicted contraction factor: {report.predicted_contraction:.2f}")
+estimate = ke.contraction_estimate(sc, problem, t_phi)
+print(f"predicted contraction factor: {estimate['predicted_contraction']:.2f}")
 
 residual = ke.fixed_point_residual(sc, problem, trajectory, tol=1e-3)
 print(f"fixed point residual: {residual:.2e} (budget 2e-3)")

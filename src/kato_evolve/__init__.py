@@ -76,6 +76,7 @@ from .propagator import (
     compose_matrix,
     default_constants,
     estimate_bounds,
+    growth_bound,
     propagate,
     step_matrix,
 )
@@ -86,6 +87,7 @@ from .quasilinear import (
     QuasilinearTrajectory,
     check_lipschitz,
     continuous_dependence_gap,
+    contraction_estimate,
     fixed_point_residual,
     norm_coupled_diffusion,
     solve_quasilinear,

@@ -45,6 +45,7 @@ from .products import (
 from .propagator import default_constants
 from .quasilinear import (
     check_lipschitz,
+    contraction_estimate,
     fixed_point_residual,
     norm_coupled_diffusion,
     solve_quasilinear,
@@ -307,7 +308,7 @@ def _cmd_quasilinear(args, scenario, phi):
         "fixed_point_residual": residual,
         "observed_lipschitz": lip.observed_l,
         "declared_lipschitz": lip.declared_l,
-        "report": report.as_dict(),
+        "report": {**report.as_dict(), **contraction_estimate(scenario, problem, t_phi)},
     }
     center = problem.ball_center
     rows = [

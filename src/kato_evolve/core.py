@@ -264,6 +264,8 @@ class BirthKernel:
 
 @dataclass(frozen=True)
 class Tolerances:
+    """Positive thresholds of the residual checks, one per invariant."""
+
     volterra: float = 1e-8
     cocycle: float = 1e-6
     membership: float = 1e-8
@@ -284,8 +286,7 @@ class StabilityConstants:
     norm(U(a, s)) <= m_frozen * exp(omega_frozen * (a - s)).  ``m0``/``omega0``
     and ``m1``/``omega1`` bound arbitrary finite products of propagators taken
     at nondecreasing times, in the base spatial norm and in the graph norm
-    against the reference operator.  ``source`` records whether the values
-    were estimated from samples or declared by the user.
+    against the reference operator.
     """
 
     m_frozen: float
@@ -294,14 +295,11 @@ class StabilityConstants:
     omega0: float
     m1: float
     omega1: float
-    source: str = "estimated"
 
     def __post_init__(self):
         for name in ("m_frozen", "m0", "m1"):
             if getattr(self, name) < 1.0:
                 raise ValidationError(f"{name} must be >= 1")
-        if self.source not in ("estimated", "declared"):
-            raise ValidationError("source must be 'estimated' or 'declared'")
 
 
 _NORM_TAGS = ("one", "two", "max")
@@ -323,16 +321,20 @@ def spatial_norm(v, tag):
     return float(_norms(np.asarray(v, dtype=float), tag))
 
 
+def _matrix_norms(mats, tag):
+    """Induced matrix norm selected by tag, of each matrix of a (..., d, d) stack."""
+    if tag == "one":
+        return np.max(np.sum(np.abs(mats), axis=-2), axis=-1)
+    if tag == "two":
+        return np.linalg.norm(mats, 2, axis=(-2, -1))
+    if tag == "max":
+        return np.max(np.sum(np.abs(mats), axis=-1), axis=-1)
+    raise ValidationError(f"unknown spatial norm tag {tag!r}")
+
+
 def matrix_norm(mat, tag):
     """Induced matrix norm matching :func:`spatial_norm`."""
-    mat = np.asarray(mat, dtype=float)
-    if tag == "one":
-        return float(np.max(np.sum(np.abs(mat), axis=0)))
-    if tag == "two":
-        return float(np.linalg.norm(mat, 2))
-    if tag == "max":
-        return float(np.max(np.sum(np.abs(mat), axis=1)))
-    raise ValidationError(f"unknown spatial norm tag {tag!r}")
+    return float(_matrix_norms(np.asarray(mat, dtype=float), tag))
 
 
 def graph_pair_norm(v, ref, tag):
@@ -375,7 +377,6 @@ class Scenario:
     tolerances: Tolerances = field(default_factory=Tolerances)
     s_max_factor: float = 10.0
     label: str = "custom"
-    config: tuple = ()
     caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -434,7 +435,7 @@ class Scenario:
         if key not in self.caches:
             mats = np.unique(self.birth_matrices(), axis=0)
             if ell == 0:
-                val = max(matrix_norm(m, self.norm) for m in mats)
+                val = np.max(_matrix_norms(mats, self.norm))
             elif ell == 1:
                 val = max(graph_to_graph_norm(self, m) for m in mats)
             else:
@@ -821,7 +822,6 @@ def build_scenario(config):
         raise ConfigError(f"unknown tolerance field(s): {sorted(unknown_tol)}")
     tolerances = Tolerances(**tol_spec)
 
-    frozen_config = tuple(sorted(_flatten(config).items()))
     return Scenario(
         age_grid=age_grid,
         time_grid=time_grid,
@@ -834,7 +834,6 @@ def build_scenario(config):
         tolerances=tolerances,
         s_max_factor=float(config.get("s_max_factor", 10.0)),
         label=str(config.get("label", preset or "custom")),
-        config=frozen_config,
     )
 
 
@@ -848,18 +847,6 @@ def _float_leaves(obj, prefix=""):
             yield from _float_leaves(v, f"{prefix}{i}.")
     elif isinstance(obj, float):
         yield prefix.rstrip("."), obj
-
-
-def _flatten(obj, prefix=""):
-    flat = {}
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            flat.update(_flatten(v, f"{prefix}{k}."))
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        flat[prefix.rstrip(".")] = repr(np.asarray(obj).tolist())
-    else:
-        flat[prefix.rstrip(".")] = repr(obj)
-    return flat
 
 
 # -- presets ---------------------------------------------------------------
@@ -952,6 +939,7 @@ PRESET_NAMES = ("SCAL0", "DIFF1", "MORT1", "QDIFF")
 
 
 def preset_scenario(name, **overrides):
+    """``build_scenario({"preset": name, **overrides})``: a preset with keys replaced."""
     config = {"preset": name}
     config.update(overrides)
     return build_scenario(config)
@@ -975,12 +963,12 @@ def refine_scenario(scenario, factor):
 PROFILE_NAMES = ("ones", "linear", "age_bump", "smooth_random", "tilted")
 
 
-def make_profile(scenario, name="ones", seed=0, spatial_modes=3, age_modes=3):
+def make_profile(scenario, name="ones", seed=0):
     """Initial age profiles used by the command line tools and tests.
 
     'ones' and 'linear' are spatially constant.  'age_bump' is a smooth
-    positive bump in age, spatially constant.  'smooth_random' mixes a few
-    low cosine modes in age and space with seeded coefficients; smooth
+    positive bump in age, spatially constant.  'smooth_random' mixes the three
+    lowest cosine modes in age and in space with seeded coefficients; smooth
     profiles keep discretization-based checks inside their asymptotic
     regime.  'tilted' is ones plus a faint smooth tilt in age and space,
     the gentlest profile that still exercises spatially coupled operators.
@@ -999,9 +987,9 @@ def make_profile(scenario, name="ones", seed=0, spatial_modes=3, age_modes=3):
         rng = np.random.default_rng(seed)
         x = np.linspace(0.0, 1.0, d)
         values = np.zeros((g.n_age + 1, d))
-        for ka in range(age_modes):
+        for ka in range(3):
             age_part = np.cos(np.pi * ka * ages / g.a_max)
-            for kx in range(spatial_modes):
+            for kx in range(3):
                 coeff = rng.normal() / (1.0 + ka + kx) ** 2
                 values += coeff * np.outer(age_part, np.cos(np.pi * kx * x))
     elif name == "tilted":

@@ -30,7 +30,7 @@ from .core import (
     state_norm,
 )
 from .products import ProductPlan, apply_product_sequential
-from .propagator import default_constants
+from .propagator import growth_bound
 
 __all__ = [
     "EvolutionResult",
@@ -133,16 +133,9 @@ def apply_approximant(scenario, n, t, s, phi):
     return apply_product_sequential(scenario, plan, phi)
 
 
-def eta_constant(scenario, constants=None):
+def eta_constant(scenario):
     """Growth rate of the evolution bound: the worse of the two norms' rates."""
-    if constants is None:
-        constants = default_constants(scenario)
-    return float(
-        max(
-            constants.omega0 + constants.m0 * scenario.birth_norm(0),
-            constants.omega1 + constants.m1 * scenario.birth_norm(1),
-        )
-    )
+    return float(max(growth_bound(scenario, 0)[1], growth_bound(scenario, 1)[1]))
 
 
 def _gap(scenario, a, b):
@@ -290,14 +283,12 @@ def evolution_cocycle_residual(scenario, s, r, t, phi, tol=1e-6):
     return _gap(scenario, whole.value, outer.value)
 
 
-def evolution_bound_margin(scenario, t, s, phi, constants=None, tol=1e-6, slack=0.0):
+def evolution_bound_margin(scenario, t, s, phi, tol=1e-6, slack=0.0):
     """Margin of the exponential growth bound on the evolved state."""
-    if constants is None:
-        constants = default_constants(scenario)
+    m0, rate = growth_bound(scenario, 0)
     result = apply_evolution(scenario, t, s, phi, tol)
-    rate = constants.omega0 + constants.m0 * scenario.birth_norm(0)
     bound = (
-        constants.m0
+        m0
         * np.exp(rate * (t - s))
         * (1.0 + slack)
         * state_norm(scenario, phi)

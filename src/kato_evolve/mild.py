@@ -25,7 +25,7 @@ from .core import (
     state_norm,
 )
 from .evolution import apply_approximant, apply_evolution
-from .propagator import default_constants
+from .propagator import growth_bound
 
 FORCING_NAMES = ("constant", "pulse", "sinusoid")
 
@@ -78,7 +78,7 @@ def _march(scenario, phi, times, n, forcing=None):
     return states
 
 
-def solve_forced(scenario, phi, forcing, t_end, tol=1e-6, n_max=None):
+def solve_forced(scenario, phi, forcing, t_end, tol=1e-6):
     """Solve u' = A(t)u + f with initial profile phi up to t_end.
 
     The partition count is fixed by one doubling ladder on the homogeneous
@@ -100,7 +100,7 @@ def solve_forced(scenario, phi, forcing, t_end, tol=1e-6, n_max=None):
     if state_norm(scenario, probe) == 0.0:
         n = 1
     else:
-        n = apply_evolution(scenario, t_end, 0.0, probe, tol=tol, n_max=n_max).n_used
+        n = apply_evolution(scenario, t_end, 0.0, probe, tol=tol).n_used
     times = tuple(j * dt for j in range(m + 1))
     states = _march(scenario, phi, times, n, forcing)
     return ForcedTrajectory(times, tuple(states), n, dt)
@@ -134,17 +134,16 @@ def duhamel_residual(scenario, trajectory, phi, forcing):
     return worst
 
 
-def forced_bound_margin(scenario, trajectory, phi, forcing, constants=None, slack=0.0):
+def forced_bound_margin(scenario, trajectory, phi, forcing, slack=0.0):
     """Margin of the a-priori growth bound along a forced trajectory.
 
-    Checks ||u(t)|| <= M0 e^{(omega0 + M0 |b|) t} (||phi|| + integral of
-    ||f||) at every trajectory node, with the forcing integral accumulated
-    by trapezoid quadrature on the same nodes.  Returns the smallest slack
-    (nonnegative means the bound holds everywhere).
+    Checks ||u(t)|| <= M0 e^{rate t} (||phi|| + integral of ||f||) at every
+    trajectory node, with M0 and the rate from ``growth_bound(scenario, 0)``
+    and the forcing integral accumulated by trapezoid quadrature on the same
+    nodes.  Returns the smallest slack (nonnegative means the bound holds
+    everywhere).
     """
-    if constants is None:
-        constants = default_constants(scenario)
-    rate = constants.omega0 + constants.m0 * scenario.birth_norm(0)
+    m0, rate = growth_bound(scenario, 0)
     phi_norm = state_norm(scenario, phi)
     f_norms = [
         state_norm(scenario, phi.with_values(_eval_forcing(scenario, forcing, t)))
@@ -156,7 +155,7 @@ def forced_bound_margin(scenario, trajectory, phi, forcing, constants=None, slac
         if j > 0:
             dt = trajectory.times[j] - trajectory.times[j - 1]
             accumulated += 0.5 * dt * (f_norms[j - 1] + f_norms[j])
-        bound = constants.m0 * np.exp(rate * t) * (phi_norm + accumulated)
+        bound = m0 * np.exp(rate * t) * (phi_norm + accumulated)
         margin = min(margin, bound * (1.0 + slack) - state_norm(scenario, state))
     return float(margin)
 

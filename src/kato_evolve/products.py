@@ -28,7 +28,7 @@ from .core import (
     spatial_norm,
     state_norm,
 )
-from .propagator import propagate_indices
+from .propagator import growth_bound, propagate_indices
 from .renewal import _march_plan, solve_birth
 from .semigroup import apply_semigroup
 
@@ -175,14 +175,6 @@ def apply_product_direct(scenario, plan, phi):
     return phi.with_values(out)
 
 
-def _ell_constants(scenario, constants, ell):
-    if ell == 0:
-        return constants.m0, constants.omega0, scenario.birth_norm(0)
-    if ell == 1:
-        return constants.m1, constants.omega1, scenario.birth_norm(1)
-    raise ValidationError("ell must be 0 or 1")
-
-
 def _ell_state_norm(scenario, phi, ell):
     return state_norm(scenario, phi) if ell == 0 else graph_state_norm(scenario, phi)
 
@@ -195,11 +187,11 @@ def stability_margin(scenario, plan, phi, constants, ell, slack=0.0):
     bound holds on this plan.  A negative value reports a violation, it does
     not raise.
     """
-    m, omega, bnorm = _ell_constants(scenario, constants, ell)
+    m, rate = growth_bound(scenario, ell, constants)
     product = apply_product_sequential(scenario, plan, phi)
     bound = (
         m
-        * np.exp((omega + bnorm * m) * plan.total_duration)
+        * np.exp(rate * plan.total_duration)
         * (1.0 + slack)
         * _ell_state_norm(scenario, phi, ell)
     )
@@ -214,7 +206,8 @@ def birth_chain_margin(scenario, plan, phi, constants, ell, s_values=None, slack
     with the trajectory span s plus the partial product's total duration;
     the minimum margin over the sampled s values is returned.
     """
-    m, omega, bnorm = _ell_constants(scenario, constants, ell)
+    m, rate = growth_bound(scenario, ell, constants)
+    bnorm = scenario.birth_norm(ell)
     g = scenario.age_grid
     if s_values is None:
         s_values = (0.0, g.a_max / 2, g.a_max)
@@ -241,7 +234,7 @@ def birth_chain_margin(scenario, plan, phi, constants, ell, s_values=None, slack
         bound = (
             bnorm
             * m
-            * np.exp((omega + bnorm * m) * (s + prefix_plan_total))
+            * np.exp(rate * (s + prefix_plan_total))
             * (1.0 + slack)
             * phi_norm
         )
@@ -253,15 +246,16 @@ def lp_stability_margin(scenario, plan, phi, p, constants, ell, slack=0.0):
     """Bound margin for the product in the L_p-in-age norm.
 
     The constants follow from the base bound: prefactor
-    N = ((1/p) |b|^(p-1) m^(2p-1) + m^p)^(1/p) and rate omega + |b| m.  The
-    right side takes the larger of the initial profile's L_p and L_1 norms.
+    N = ((1/p) |b|^(p-1) m^(2p-1) + m^p)^(1/p) and the rate of
+    :func:`growth_bound`.  The right side takes the larger of the initial
+    profile's L_p and L_1 norms.
     """
     if not p > 1:
         raise ValidationError("p must exceed 1")
-    m, omega, bnorm = _ell_constants(scenario, constants, ell)
+    m, rate = growth_bound(scenario, ell, constants)
+    bnorm = scenario.birth_norm(ell)
     product = apply_product_sequential(scenario, plan, phi)
     prefactor = ((bnorm ** (p - 1)) * m ** (2 * p - 1) / p + m**p) ** (1.0 / p)
-    rate = omega + bnorm * m
     bound = (
         prefactor
         * np.exp(rate * plan.total_duration)

@@ -37,6 +37,7 @@ __all__ = [
     "compose_matrix",
     "cocycle_residual",
     "estimate_bounds",
+    "growth_bound",
 ]
 
 
@@ -159,18 +160,19 @@ def _fit_exponential_bound(samples):
     return m, omega
 
 
-def estimate_bounds(scenario, t=0.0, samples=32, seed=0, max_factors=3):
+def estimate_bounds(scenario, t=0.0, samples=32, seed=0):
     """Empirical stability constants from sampled propagator norms.
 
     Single-operator constants come from exact induced matrix norms of
     U_t(a, s) on sampled node pairs, read from the cached stack at the
     frozen time ``t``.  Product constants additionally sample compositions
-    at nondecreasing times drawn from the scenario's time horizon, in the
-    base norm and in the graph norm against the reference operator; each of
-    those random times is used once, so only its sampled cells are built,
-    in one batched call, and nothing is cached for it.  The returned
-    constants satisfy their bound on every sampled composition by
-    construction; they are sampled estimates, not certificates.
+    of one to three factors at nondecreasing times drawn from the scenario's
+    time horizon, in the base norm and in the graph norm against the
+    reference operator; each of those random times is used once, so only its
+    sampled cells are built, in one batched call, and nothing is cached for
+    it.  The returned constants satisfy their bound on every sampled
+    composition by construction; they are sampled estimates, not
+    certificates.
     """
     if samples < 1:
         raise ValidationError("samples must be positive")
@@ -195,7 +197,7 @@ def estimate_bounds(scenario, t=0.0, samples=32, seed=0, max_factors=3):
 
     horizon = scenario.time_grid.horizon
     for _ in range(samples):
-        k = int(rng.integers(1, max_factors + 1))
+        k = int(rng.integers(1, 4))
         times = np.sort(rng.uniform(min(t, horizon), horizon, size=k))
         mat = np.eye(scenario.dim)
         span = 0.0
@@ -217,7 +219,6 @@ def estimate_bounds(scenario, t=0.0, samples=32, seed=0, max_factors=3):
         omega0=omega0,
         m1=max(m1, 1.0),
         omega1=omega1,
-        source="estimated",
     )
 
 
@@ -227,3 +228,16 @@ def default_constants(scenario):
     if key not in scenario.caches:
         scenario.caches[key] = estimate_bounds(scenario, t=0.0, samples=24, seed=0)
     return scenario.caches[key]
+
+
+def growth_bound(scenario, ell, constants=None):
+    """(M_ell, omega_ell + M_ell |b|_ell): a bound's prefactor and rate with births.
+
+    ell = 0 is the base norm, ell = 1 the graph norm; the constants default
+    to :func:`default_constants`.  Every bound takes its rate from here.
+    """
+    if ell not in (0, 1):
+        raise ValidationError("ell must be 0 or 1")
+    c = default_constants(scenario) if constants is None else constants
+    m, omega = (c.m0, c.omega0) if ell == 0 else (c.m1, c.omega1)
+    return m, omega + m * scenario.birth_norm(ell)

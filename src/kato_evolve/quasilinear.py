@@ -18,15 +18,15 @@ from .core import (
     OperatorField,
     StateVector,
     ValidationError,
+    _matrix_norms,
     graph_state_norm,
     lp_age_norm,
     make_profile,
-    matrix_norm,
     state_norm,
 )
 from .evolution import apply_evolution, eta_constant
 from .mild import _march
-from .propagator import default_constants
+from .propagator import growth_bound
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,8 @@ class QuasilinearProblem:
 
 @dataclass(frozen=True)
 class LipschitzReport:
+    """Worst sampled state sensitivity against the declared constant."""
+
     observed_l: float
     declared_l: float
     exceeded: bool
@@ -86,17 +88,16 @@ class QuasilinearTrajectory:
 
 @dataclass(frozen=True)
 class IteratesReport:
-    """Per-iteration record of the accepted Picard run."""
+    """Per-iteration record of the accepted Picard run.
+
+    The contraction factor it predicts is :func:`contraction_estimate`'s.
+    """
 
     t_phi: float
     halvings: int
     sup_gaps: tuple
     integral_gaps: tuple
-    predicted_contraction: float
     n_used: int
-    eta: float
-    r_constant: float
-    phi_graph_norm: float
 
     def as_dict(self):
         return {
@@ -104,11 +105,7 @@ class IteratesReport:
             "halvings": self.halvings,
             "sup_gaps": list(self.sup_gaps),
             "integral_gaps": list(self.integral_gaps),
-            "predicted_contraction": self.predicted_contraction,
             "n_used": self.n_used,
-            "eta": self.eta,
-            "r_constant": self.r_constant,
-            "phi_graph_norm": self.phi_graph_norm,
         }
 
 
@@ -117,7 +114,8 @@ def check_lipschitz(problem, scenario, samples=8, seed=0):
 
     Draws pairs in the trust ball, evaluates the field difference at a
     random time over every age node, and returns the worst ratio against
-    the declared constant.  Coincident pairs are redrawn.
+    the declared constant.  A coincident pair is skipped, not redrawn, so it
+    contributes no ratio and uses up one of the ``samples`` draws.
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
@@ -136,7 +134,7 @@ def check_lipschitz(problem, scenario, samples=8, seed=0):
         t = float(rng.uniform(0.0, horizon))
         gaps = (np.asarray(problem.operator_of_state(v1, t, nodes))
                 - np.asarray(problem.operator_of_state(v2, t, nodes)))
-        worst = max(matrix_norm(m, scenario.norm) for m in gaps)
+        worst = float(np.max(_matrix_norms(gaps, scenario.norm)))
         observed = max(observed, worst / dv)
     exceeded = observed > problem.lipschitz_l * (1 + 1e-9)
     return LipschitzReport(float(observed), problem.lipschitz_l, exceeded)
@@ -155,27 +153,44 @@ def _ball_sample(scenario, problem, rng):
     )
 
 
-def continuous_dependence_gap(scenario, a1, a2, phi, s, t, tol=1e-6, constants=None):
+def contraction_estimate(scenario, problem, t_phi):
+    """Predicted Picard contraction factor L R e^{eta t_phi} |phi|_graph t_phi.
+
+    Returns a dict of that factor, ``eta``, ``r_constant`` (R = M0 M1) and
+    ``phi_graph_norm`` (of the ball center), from :func:`default_constants`.
+    """
+    eta = eta_constant(scenario)
+    r_constant = growth_bound(scenario, 0)[0] * growth_bound(scenario, 1)[0]
+    phi_graph = graph_state_norm(scenario, problem.ball_center)
+    return {
+        "predicted_contraction": (
+            problem.lipschitz_l * r_constant * math.exp(eta * t_phi) * phi_graph * t_phi
+        ),
+        "eta": eta,
+        "r_constant": r_constant,
+        "phi_graph_norm": phi_graph,
+    }
+
+
+def continuous_dependence_gap(scenario, a1, a2, phi, s, t, tol=1e-6):
     """Evolution gap for two operator fields against its a-priori bound.
 
     Returns (lhs, rhs): the state-norm distance of the two evolved
     profiles, and R e^{eta (t-s)} |phi|_graph times the time integral of
     the worst-in-age matrix-norm field difference.
     """
-    if constants is None:
-        constants = default_constants(scenario)
     u1 = apply_evolution(scenario._with_operator(a1), t, s, phi, tol=tol).value
     u2 = apply_evolution(scenario._with_operator(a2), t, s, phi, tol=tol).value
     lhs = state_norm(scenario, u1.with_values(u1.values - u2.values))
     taus = np.linspace(s, t, 65)
     nodes = scenario.age_grid.nodes
     sep = [
-        max(matrix_norm(m, scenario.norm) for m in a1.sample(tau, nodes) - a2.sample(tau, nodes))
+        np.max(_matrix_norms(a1.sample(tau, nodes) - a2.sample(tau, nodes), scenario.norm))
         for tau in taus
     ]
     integral = float(np.trapezoid(sep, taus)) if t > s else 0.0
-    eta = eta_constant(scenario, constants)
-    r_constant = constants.m0 * constants.m1
+    eta = eta_constant(scenario)
+    r_constant = growth_bound(scenario, 0)[0] * growth_bound(scenario, 1)[0]
     rhs = r_constant * math.exp(eta * (t - s)) * graph_state_norm(scenario, phi) * integral
     return float(lhs), float(rhs)
 
@@ -245,7 +260,8 @@ def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"
     initial="linear"), accepts when the sup-in-time gap between iterates
     drops to tol, and halves the horizon on ball exit or on a gap ratio
     above 0.9, restarting the loop.  The horizon underflowing one time
-    step raises a convergence error suggesting weaker coupling.
+    step raises a convergence error suggesting weaker coupling.  No
+    stability constant is estimated: see :func:`contraction_estimate`.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -262,10 +278,6 @@ def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"
             raise ValidationError(
                 "lp_mode cannot confine the center profile: n_zero + radius < 1"
             )
-    constants = default_constants(scenario)
-    eta = eta_constant(scenario, constants)
-    r_constant = constants.m0 * constants.m1
-    phi_graph = graph_state_norm(scenario, phi)
     dt = scenario.time_grid.step
     m = scenario.time_grid.n_time
     halvings = 0
@@ -282,15 +294,7 @@ def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"
                 halvings=halvings,
                 sup_gaps=tuple(sup_gaps),
                 integral_gaps=tuple(integral_gaps),
-                predicted_contraction=problem.lipschitz_l
-                * r_constant
-                * math.exp(eta * t_phi)
-                * phi_graph
-                * t_phi,
                 n_used=n_used,
-                eta=eta,
-                r_constant=r_constant,
-                phi_graph_norm=phi_graph,
             )
             return QuasilinearTrajectory(times, states, n_used), t_phi, report
         if status == "max_iter":
@@ -362,10 +366,10 @@ def norm_coupled_diffusion(scenario, epsilon, radius, center=None, lp_mode=None)
     times = scenario.time_grid.nodes
     if scenario.operator.time_independent:
         times = times[:1]
+    nodes = scenario.age_grid.nodes
     peak = max(
-        matrix_norm(m, scenario.norm)
+        float(np.max(_matrix_norms(scenario.operator.sample(t, nodes), scenario.norm)))
         for t in times
-        for m in scenario.operator.sample(t, scenario.age_grid.nodes)
     )
 
     def operator_of_state(v, t, ages):

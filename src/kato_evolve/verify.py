@@ -48,6 +48,8 @@ SLACK = 0.05
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's status and the margin by which its inequality held."""
+
     name: str
     status: str  # "pass" | "fail" | "skip"
     margin: float
@@ -56,6 +58,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """All checks of one battery run; ``as_dict`` is what ``verify`` prints."""
+
     label: str
     seed: int
     tol: float
@@ -229,9 +233,7 @@ def run_verification(scenario, seed=0, tol=1e-3):
                 f"at tol {cocycle_tol:g}",
             )
         )
-        margin = evolution_bound_margin(
-            scenario, t_hi, 0.0, phi, constants=constants, tol=tol, slack=SLACK
-        )
+        margin = evolution_bound_margin(scenario, t_hi, 0.0, phi, tol=tol, slack=SLACK)
         checks.append(
             _result("evolution_bound_margin", margin >= 0, margin, "5% slack")
         )
@@ -242,9 +244,7 @@ def run_verification(scenario, seed=0, tol=1e-3):
     else:
         forcing = forcing_preset(scenario, "constant", amplitude=0.5)
         trajectory = solve_forced(scenario, phi, forcing, t_end, tol=tol)
-        margin = forced_bound_margin(
-            scenario, trajectory, phi, forcing, constants=constants, slack=SLACK
-        )
+        margin = forced_bound_margin(scenario, trajectory, phi, forcing, slack=SLACK)
         checks.append(
             _result(
                 "forced_bound_margin",

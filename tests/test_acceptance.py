@@ -260,7 +260,7 @@ def test_criterion_10_quasilinear(qdiff):
 
     traj, t_phi, report = ke.solve_quasilinear(qdiff, problem, tol=tol)
     gaps = report.sup_gaps
-    cap = 1.2 * report.predicted_contraction
+    cap = 1.2 * ke.contraction_estimate(qdiff, problem, t_phi)["predicted_contraction"]
     geometric = all(b / a <= cap for a, b in zip(gaps, gaps[1:]) if a > 0)
     residual = ke.fixed_point_residual(qdiff, problem, traj, tol=tol)
     inside = all(

@@ -197,3 +197,15 @@ def test_evolve_reports_the_scenario_eta(capsys):
     code, out, _ = run(capsys, "evolve", "--preset", "QDIFF", "--t", "0.25", "--tol", "1e-3")
     assert code == 0
     assert json.loads(out)["eta"] == ke.eta_constant(ke.preset_scenario("QDIFF"))
+
+
+def test_quasilinear_report_carries_the_contraction_estimate(capsys):
+    code, out, _ = run(capsys, "quasilinear", "--preset", "QDIFF")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert set(report) == {"t_phi", "halvings", "sup_gaps", "integral_gaps", "n_used",
+                           "predicted_contraction", "eta", "r_constant", "phi_graph_norm"}
+    sc = ke.preset_scenario("QDIFF")
+    problem = ke.norm_coupled_diffusion(sc, 0.05, 1.0, center=ke.make_profile(sc, "tilted"))
+    estimate = ke.contraction_estimate(sc, problem, report["t_phi"])
+    assert {k: report[k] for k in estimate} == estimate

@@ -378,3 +378,21 @@ def test_age_grid_arrays_are_built_once():
     assert g.nodes is g.nodes and g.weights is g.weights
     assert not g.nodes.flags.writeable and not g.weights.flags.writeable
     assert g == ke.AgeGrid(1.0, 8) and hash(g) == hash(ke.AgeGrid(1.0, 8))
+
+
+@pytest.mark.parametrize("tag", ["one", "two", "max"])
+def test_stacked_matrix_norms_match_per_matrix_loop(diff1, tag):
+    from kato_evolve.core import _matrix_norms
+
+    per_matrix = {
+        "one": lambda m: np.max(np.sum(np.abs(m), axis=0)),
+        "two": lambda m: np.linalg.norm(m, 2),
+        "max": lambda m: np.max(np.sum(np.abs(m), axis=1)),
+    }[tag]
+    stacks = [diff1.operator.sample(0.3, diff1.age_grid.nodes), diff1.birth_matrices(),
+              np.random.default_rng(7).standard_normal((3, 5, diff1.dim, diff1.dim))]
+    for stack in stacks:
+        mats = stack.reshape(-1, diff1.dim, diff1.dim)
+        loop = np.array([per_matrix(m) for m in mats])
+        assert np.array_equal(_matrix_norms(stack, tag).ravel(), loop)
+        assert [ke.matrix_norm(m, tag) for m in mats] == loop.tolist()

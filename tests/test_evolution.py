@@ -161,8 +161,8 @@ def test_ladder_keeps_no_birth_trajectories_or_bound_constants(diff1, tilted):
 
 
 def test_eta_constant_positive_and_deterministic(diff1):
-    eta1 = ke.eta_constant(diff1, None)
-    eta2 = ke.eta_constant(diff1, None)
+    eta1 = ke.eta_constant(diff1)
+    eta2 = ke.eta_constant(diff1)
     assert eta1 == eta2
     assert eta1 > 0.0
 

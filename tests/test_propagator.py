@@ -108,3 +108,15 @@ def test_estimate_bounds_caches_only_its_own_frozen_time(diff1):
     first = ke.estimate_bounds(sc, t=0.25, samples=8, seed=3)
     assert frozen_keys(sc) == [("frozen", 0.25, 2)]
     assert ke.estimate_bounds(fresh(diff1), t=0.25, samples=8, seed=3) == first
+
+
+@pytest.mark.parametrize("name", ["SCAL0", "DIFF1", "MORT1", "QDIFF"])
+def test_growth_bound_is_the_inline_rate(name):
+    sc = ke.preset_scenario(name)
+    c = ke.default_constants(sc)
+    assert ke.growth_bound(sc, 0) == (c.m0, c.omega0 + c.m0 * sc.birth_norm(0))
+    assert ke.growth_bound(sc, 1) == (c.m1, c.omega1 + c.m1 * sc.birth_norm(1))
+    other = ke.estimate_bounds(sc, samples=4, seed=1)
+    assert ke.growth_bound(sc, 1, other) == (other.m1, other.omega1 + other.m1 * sc.birth_norm(1))
+    with pytest.raises(ke.ValidationError):
+        ke.growth_bound(sc, 2)

@@ -130,6 +130,5 @@ def test_estimate_bounds_returns_finite_constants(diff1):
     consts = ke.estimate_bounds(diff1, samples=8, seed=0)
     assert consts.m0 >= 1.0
     assert consts.m1 >= 1.0
-    assert consts.source == "estimated"
     for rate in (consts.omega_frozen, consts.omega0, consts.omega1):
         assert np.isfinite(rate)
