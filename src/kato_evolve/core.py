@@ -357,13 +357,14 @@ class Scenario:
     ``caches`` holds the per-frozen-time step-map stacks (the renewal march
     shifts profiles through them one cell at a time, so no chain is cached),
     birth trajectories, the boundary LU factorization, the sampled birth
-    kernel with its norms and the default stability constants; the oracle
-    caches nothing.  It is an internal detail and does not participate in
-    equality.  All public operations on a scenario are pure functions of the
-    visible fields.  A scenario starts from the entries of a passed
-    ``caches`` dict only when no other live scenario owns it, so
-    ``dataclasses.replace`` never shares a cache whose keys do not name the
-    fields it replaced.
+    kernel (one array of rows in matrix-vector layout, which
+    ``birth_matrices`` views) with its norms and the default stability
+    constants; the oracle caches nothing.  It is an internal detail and does
+    not participate in equality.  All public operations on a scenario are
+    pure functions of the visible fields.  A scenario starts from the
+    entries of a passed ``caches`` dict only when no other live scenario
+    owns it, so ``dataclasses.replace`` never shares a cache whose keys do
+    not name the fields it replaced.
     """
 
     age_grid: AgeGrid
@@ -406,14 +407,28 @@ class Scenario:
 
     # -- sampled kernels ---------------------------------------------------
 
-    def birth_matrices(self):
-        """b(a_i) for every age node, shape (n_age+1, d, d); cached."""
+    def _birth_rows(self):
+        """The sampled kernel as read-only (d, (n_age+1) d) rows; cached.
+
+        Entry [j, i d + k] is b(a_i)[j, k], so the birth integral is one
+        matrix-vector product with the weighted profile raveled by node.
+        """
         key = "birth_matrices"
         if key not in self.caches:
             mats = self.birth.sample(self.age_grid.nodes)
-            mats.flags.writeable = False
-            self.caches[key] = mats
+            rows = np.ascontiguousarray(mats.transpose(1, 0, 2).reshape(self.dim, -1))
+            rows.flags.writeable = False
+            self.caches[key] = rows
         return self.caches[key]
+
+    def birth_matrices(self):
+        """b(a_i) for every age node, shape (n_age+1, d, d).
+
+        A read-only view over the cached birth rows, so the scenario holds
+        one copy of the sampled kernel.
+        """
+        d = self.dim
+        return self._birth_rows().reshape(d, -1, d).transpose(1, 0, 2)
 
     def _with_operator(self, operator):
         """This scenario under another operator field, with fresh caches.
@@ -566,17 +581,28 @@ def lp_age_norm(scenario, phi, p, ell=0):
 # -- birth balance ---------------------------------------------------------
 
 
+def _check_profile_shape(scenario, values):
+    """Raise ValidationError unless values has shape (n_age+1, d)."""
+    expected = (scenario.age_grid.n_age + 1, scenario.dim)
+    if np.shape(values) != expected:
+        raise ValidationError(
+            f"profile has shape {np.shape(values)}, the scenario expects {expected}"
+        )
+
+
 def birth_quadrature(scenario, values):
     """Trapezoid quadrature of a -> b(a) values(a) over the age interval.
 
     This helper is the single code path for every birth integral in the
     package; the renewal solver and its consistency checks rely on summation
-    order being identical on both sides.  It is one weighted contraction over
-    the age nodes and the spatial index.
+    order being identical on both sides.  It is one matrix-vector product of
+    the cached birth rows with the trapezoid-weighted profile, raveled node
+    by node.  ``values`` must have shape (n_age+1, d).
     """
+    _check_profile_shape(scenario, values)
     g = scenario.age_grid
-    bmats = scenario.birth_matrices()
-    return g.step * np.einsum("i,ijk,ik->j", g.weights, bmats, values)
+    weighted = g.weights[:, None] * values
+    return g.step * (scenario._birth_rows() @ weighted.ravel())
 
 
 def check_birth_balance(scenario, phi, tol=None):

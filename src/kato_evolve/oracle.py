@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     StateVector,
     ValidationError,
+    _check_profile_shape,
     birth_quadrature,
     refine_scenario,
     state_norm,
@@ -53,6 +54,7 @@ def solve_direct(scenario, phi, t_end):
     if not (np.isfinite(t_end) and 0 <= t_end <= horizon * (1 + 1e-12)):
         raise ValidationError(f"t_end must lie in [0, horizon], got {t_end!r}")
     n_steps = g.index_of(t_end, "end time")
+    _check_profile_shape(scenario, phi.values)
     step = g.step
     eye = np.eye(scenario.dim)
     values = np.array(phi.values, dtype=float)

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,3 +211,22 @@ def test_quasilinear_report_carries_the_contraction_estimate(capsys):
     problem = ke.norm_coupled_diffusion(sc, 0.05, 1.0, center=ke.make_profile(sc, "tilted"))
     estimate = ke.contraction_estimate(sc, problem, report["t_phi"])
     assert {k: report[k] for k in estimate} == estimate
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["semigroup", "--preset", "DIFF1", "--s", "0.5"],
+        ["oracle", "--preset", "DIFF1", "--t-end", "0.25"],
+        ["birth", "--preset", "SCAL0", "--s-max", "10"],
+    ],
+)
+def test_output_does_not_depend_on_blas_threads(argv):
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "kato_evolve.cli", *argv],
+                              env=env, capture_output=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -205,6 +205,54 @@ def test_whole_grid_norms_match_nodewise_loops(qdiff, tag):
     assert np.allclose(ke.birth_quadrature(sc, phi.values), loop, rtol=rtol, atol=0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 16, 32])
+@pytest.mark.parametrize(
+    "birth", [{"kind": "constant", "beta": 0.5}, {"kind": "hat", "beta": 2.0}]
+)
+def test_birth_quadrature_matches_nodewise_sum(dim, birth):
+    sc = ke.preset_scenario("DIFF1", dim=dim, birth=birth)
+    g = sc.age_grid
+    mats = sc.birth_matrices()
+    assert mats.shape == (g.n_age + 1, dim, dim)
+    assert not mats.flags.writeable
+    assert np.array_equal(mats, sc.birth.sample(g.nodes))
+    values = ke.make_profile(sc, "smooth_random", seed=2).values
+    strided = np.stack([values, -values], axis=2)[:, :, 0]  # as the oracle passes it
+    assert not strided.flags.c_contiguous
+    expected = g.step * sum(w * (b @ v) for w, b, v in zip(g.weights, mats, values))
+    for vals in (values, strided):
+        got = ke.birth_quadrature(sc, vals)
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def _one_column(scenario):
+    return ke.StateVector(scenario.age_grid, np.ones((scenario.age_grid.n_age + 1, 1)))
+
+
+_WRONG_SHAPES = {
+    "other grid": lambda scal0, diff1: (ke.refine_scenario(scal0, 2),
+                                        ke.make_profile(scal0, "ones")),
+    "other dim": lambda scal0, diff1: (diff1, _one_column(diff1)),
+}
+_PROFILE_CALLS = {
+    "apply_semigroup": lambda sc, phi: ke.apply_semigroup(sc, 0.0, 0.25, phi),
+    "solve_birth": lambda sc, phi: ke.solve_birth(sc, 0.0, phi, 0.25),
+    "apply_evolution": lambda sc, phi: ke.apply_evolution(sc, 0.5, 0.0, phi),
+    "solve_direct": lambda sc, phi: ke.solve_direct(sc, phi, 0.25),
+    "enforce_birth_balance": ke.enforce_birth_balance,
+}
+
+
+@pytest.mark.parametrize("call", _PROFILE_CALLS)
+@pytest.mark.parametrize("case", _WRONG_SHAPES)
+def test_wrong_shaped_profiles_are_rejected(scal0, diff1, case, call):
+    sc, phi = _WRONG_SHAPES[case](scal0, diff1)
+    expected = (sc.age_grid.n_age + 1, sc.dim)
+    with pytest.raises(ke.ValidationError, match=re.escape(f"{phi.values.shape}")) as info:
+        _PROFILE_CALLS[call](sc, phi)
+    assert str(expected) in str(info.value)
+
+
 def test_spatial_and_matrix_norms():
     assert ke.spatial_norm(np.array([3.0, 4.0]), "two") == pytest.approx(5.0)
     assert ke.matrix_norm(np.eye(3), "two") == pytest.approx(1.0)

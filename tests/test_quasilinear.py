@@ -202,11 +202,20 @@ def test_picard_steps_reuse_constants_and_birth_samples(qdiff, monkeypatch):
     monkeypatch.setattr(
         propagator, "estimate_bounds", lambda *a, **k: estimates.append(1) or real(*a, **k)
     )
+    steps = []
+    real_with_operator = ke.Scenario._with_operator
+
+    def with_operator(self, operator):
+        steps.append(real_with_operator(self, operator))
+        return steps[-1]
+
+    monkeypatch.setattr(ke.Scenario, "_with_operator", with_operator)
     problem = ke.norm_coupled_diffusion(sc, EPS, RADIUS, center=structured_center(sc))
     _, _, report = ke.solve_quasilinear(sc, problem, tol=TOL)
     assert len(report.sup_gaps) >= 2
     assert len(estimates) == 0
     assert births == [sc.age_grid.n_age + 1]  # sampled once, at construction
+    assert steps and all(s.caches["birth_matrices"] is sc.caches["birth_matrices"] for s in steps)
 
 
 def test_coupled_field_takes_one_state_per_sample(qdiff, monkeypatch):
