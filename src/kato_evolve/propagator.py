@@ -10,15 +10,17 @@ Step maps: the default is the exponential midpoint rule, the matrix
 exponential of the midpoint-frozen matrix over each cell (locally second
 order); the fallback is implicit Euler (first order).  Each frozen time owns
 one scenario cache entry: the step maps of every cell as one stack of shape
-(n_age, d, d), built by one batched ``expm`` (or one batched solve for
+(n_age, d, d), built by one batched Taylor scaling-and-squaring kernel that
+needs matrix products only (``np.exp`` for d = 1; one batched solve for
 implicit Euler).  The public helpers below are views over that stack; the
 node chain U_t(a_i, 0) is built only on request and never cached.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     GridAlignmentError,
@@ -41,20 +43,93 @@ __all__ = [
 ]
 
 
+# Degree-18 Taylor scaling and squaring: a matrix of 1-norm at most
+# _THETA_18 has its exponential's truncated series within unit roundoff in
+# backward error (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011), Table 3.1).
+_THETA_18 = 1.09
+_TAYLOR_18 = tuple(1.0 / math.factorial(k) for k in range(19))
+# Matrices per pass of the kernel: its six workspace arrays hold this many,
+# so its extra memory does not grow with the number of cells.
+_CHUNK = 8
+
+
+def _expm_stack(gens):
+    """Overwrite each d x d matrix of the stack ``gens`` with its exponential.
+
+    Scaling and squaring: matrix X gets its own power s = max(0,
+    ceil(log2(|X|_1 / theta_18))), the degree-18 Taylor polynomial of
+    X / 2^s is evaluated by Paterson-Stockmeyer (X^2, X^3, X^4, then four
+    Horner steps in X^4: seven batched products and no linear solve), and
+    the result is squared s times.  Matrices are taken in a stable order of
+    s, a chunk at a time, through one reused workspace.  Every operation
+    acts on one matrix at a time, so a matrix's result depends on that
+    matrix only: a whole stack, any sub-range and a single matrix give
+    bit-equal maps.
+    """
+    n, d, _ = gens.shape
+    ratio = np.abs(gens).sum(axis=1).max(axis=1) / _THETA_18
+    powers = np.zeros(n, dtype=int)
+    big = ratio > 1.0
+    powers[big] = np.ceil(np.log2(ratio[big]))
+    order = np.argsort(powers, kind="stable")
+    work = np.empty((6, min(n, _CHUNK), d, d))
+    c = _TAYLOR_18
+    for lo in range(0, n, _CHUNK):
+        idx = order[lo:lo + _CHUNK]
+        s = powers[idx]
+        x, x2, x3, x4, r, tmp = work[:, :len(idx)]
+        np.multiply(gens[idx], np.ldexp(1.0, -s)[:, None, None], out=x)
+        np.matmul(x, x, out=x2)
+        np.matmul(x2, x, out=x3)
+        np.matmul(x2, x2, out=x4)
+        # r = c16 I + c17 X + c18 X^2, then r <- r X^4 + sum_i c_{4j+i} X^i
+        np.multiply(x2, c[18], out=r)
+        np.multiply(x, c[17], out=tmp)
+        r += tmp
+        r.reshape(len(idx), -1)[:, ::d + 1] += c[16]
+        for j in (12, 8, 4, 0):
+            np.matmul(r, x4, out=tmp)
+            r, tmp = tmp, r
+            for power, term in ((1, x), (2, x2), (3, x3)):
+                np.multiply(term, c[j + power], out=tmp)
+                r += tmp
+            r.reshape(len(idx), -1)[:, ::d + 1] += c[j]
+        for k in range(int(s[-1])):
+            first = np.searchsorted(s, k, side="right")
+            np.matmul(r[first:], r[first:], out=tmp[first:])
+            r[first:] = tmp[first:]
+        gens[idx] = r
+    return gens
+
+
 def _step_stack(scenario, t, j_from, j_to):
     """Step maps of cells j_from .. j_to-1 at frozen time t, uncached.
 
     The field is sampled once over the cells' midpoints (order 2) or right
-    ends (order 1) and the whole stack is mapped in one batched call.
+    ends (order 1) and the whole stack is mapped in one batched call: the
+    exponential (``np.exp`` for d = 1) or one implicit-Euler solve.  A map
+    that overflows raises ValidationError naming the first such cell.
     """
     h = scenario.age_grid.step
     offset = 0.5 if scenario.integrator_order == 2 else 1.0
     gens = scenario.operator.sample(t, (np.arange(j_from, j_to) + offset) * h)
     gens *= h
-    if scenario.integrator_order == 2:
-        return expm(gens)
-    eye = np.eye(scenario.dim)
-    return np.linalg.solve(eye - gens, np.broadcast_to(eye, gens.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scenario.integrator_order == 1:
+            eye = np.eye(scenario.dim)
+            steps = np.linalg.solve(eye - gens, np.broadcast_to(eye, gens.shape))
+        elif scenario.dim == 1:
+            steps = np.exp(gens)
+        else:
+            steps = _expm_stack(gens)
+    finite = np.isfinite(steps).all(axis=(1, 2))
+    if not finite.all():
+        cell = j_from + int(np.argmin(finite))
+        raise ValidationError(
+            f"step map is not finite at t={float(t)!r}, cell {cell} "
+            f"(a={(cell + offset) * h!r})"
+        )
+    return steps
 
 
 def _frozen_maps(scenario, t):

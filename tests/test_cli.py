@@ -111,6 +111,20 @@ def test_non_finite_scenario_field_fails_cleanly(capsys, tmp_path):
     assert "birth.beta" in lines[0]
 
 
+@pytest.mark.parametrize("config", [
+    {"preset": "MORT1", "operator": {"kind": "scalar_mortality", "mu": -1e5}},
+    {"preset": "DIFF1", "operator": {"kind": "modulated_laplacian", "kappa0": -1e4}},
+])
+def test_overflowing_step_map_fails_cleanly(capsys, tmp_path, config):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "semigroup", "--scenario", str(path), "--s", "0.5")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: step map is not finite at t=0.0, cell 0 (a=")
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -219,6 +233,7 @@ def test_quasilinear_report_carries_the_contraction_estimate(capsys):
         ["semigroup", "--preset", "DIFF1", "--s", "0.5"],
         ["oracle", "--preset", "DIFF1", "--t-end", "0.25"],
         ["birth", "--preset", "SCAL0", "--s-max", "10"],
+        ["quasilinear", "--preset", "QDIFF"],
     ],
 )
 def test_output_does_not_depend_on_blas_threads(argv):

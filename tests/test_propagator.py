@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import kato_evolve as ke
-from kato_evolve.propagator import propagate_indices
+from kato_evolve.propagator import _expm_stack, _step_stack, propagate_indices
 from kato_evolve.renewal import transported_rows
 
 
@@ -54,12 +54,79 @@ def test_stacked_step_maps_match_per_cell_maps(diff1, order):
     assert np.array_equal(chain[0], eye)
     for j in range(sc.age_grid.n_age):
         if order == 2:
-            expected = expm(h * sc.operator(t, (j + 0.5) * h))
+            expected = _expm_stack(h * sc.operator(t, (j + 0.5) * h)[None])[0]
         else:
             expected = np.linalg.solve(eye - h * sc.operator(t, (j + 1.0) * h), eye)
         step = ke.step_matrix(sc, t, j)
         assert np.array_equal(step, expected)
         assert np.array_equal(chain[j + 1], step @ chain[j])
+
+
+def rel_one_norm_error(got, expected):
+    """Largest relative 1-norm error over a stack of matrices."""
+    def norm(m):
+        return np.abs(m).sum(axis=-2).max(axis=-1)
+    return float((norm(got - expected) / norm(expected)).max())
+
+
+@pytest.mark.parametrize("name, factor", [("SCAL0", 1), ("MORT1", 1), ("QDIFF", 1),
+                                          ("DIFF1", 1), ("DIFF1", 2)])
+def test_step_maps_match_scipy_expm(name, factor):
+    sc = ke.refine_scenario(ke.preset_scenario(name), factor)
+    n, h = sc.age_grid.n_age, sc.age_grid.step
+    horizon = sc.time_grid.horizon
+    for t in (0.0, 0.3 * horizon, horizon):
+        gens = h * sc.operator.sample(t, (np.arange(n) + 0.5) * h)
+        steps = _step_stack(sc, t, 0, n)
+        assert rel_one_norm_error(steps, expm(gens)) <= 1e-13
+        if sc.dim == 1:
+            assert np.array_equal(steps, np.exp(gens))
+
+
+def test_expm_kernel_on_random_non_normal_stacks():
+    rng = np.random.default_rng(11)
+    mats = rng.standard_normal((40, 32, 32))
+    mats += 3.0 * np.triu(rng.standard_normal((40, 32, 32)), 1)
+    # rescaled to 1-norms from 1e-6 to 50, in shuffled order
+    norms = np.abs(mats).sum(axis=1).max(axis=1)
+    mats *= (rng.permutation(np.geomspace(1e-6, 50.0, 40)) / norms)[:, None, None]
+    powers = np.ceil(np.log2(np.maximum(np.abs(mats).sum(axis=1).max(axis=1) / 1.09, 1.0)))
+    assert powers.min() == 0 and powers.max() == 6
+    maps = _expm_stack(mats.copy())
+    assert rel_one_norm_error(maps, expm(mats)) <= 1e-13
+    # a matrix's map depends on that matrix only, whatever stack it sits in
+    for j in range(len(mats)):
+        assert np.array_equal(_expm_stack(mats[j:j + 1].copy())[0], maps[j])
+    assert np.array_equal(_expm_stack(mats[5:22].copy()), maps[5:22])
+    assert np.array_equal(_expm_stack(mats[::-1].copy()), maps[::-1])
+
+
+def test_expm_kernel_edge_stacks():
+    assert np.array_equal(_expm_stack(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert _expm_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("name", ["SCAL0", "DIFF1"])
+def test_step_stack_sub_ranges_are_bit_equal(name):
+    sc = ke.preset_scenario(name)
+    t = 0.3
+    n = sc.age_grid.n_age
+    whole = _step_stack(sc, t, 0, n)
+    assert np.array_equal(_step_stack(sc, t, 5, n - 3), whole[5:n - 3])
+    for j in (0, 7, n - 1):
+        assert np.array_equal(_step_stack(sc, t, j, j + 1)[0], whole[j])
+    assert _step_stack(sc, t, 4, 4).shape == (0, sc.dim, sc.dim)
+
+
+@pytest.mark.parametrize("config", [
+    {"preset": "MORT1", "operator": {"kind": "scalar_mortality", "mu": -1e5}},
+    {"preset": "DIFF1", "operator": {"kind": "modulated_laplacian", "kappa0": -1e4}},
+])
+def test_overflowing_step_map_is_named(config):
+    # warnings are errors in this suite, so an overflow warning would fail here
+    sc = ke.build_scenario(config)
+    with pytest.raises(ke.ValidationError, match=r"^step map is not finite at t=0\.0, cell 0 \(a="):
+        ke.apply_semigroup(sc, 0.0, 0.5, ke.make_profile(sc, "tilted"))
 
 
 def test_batched_transport_matches_per_row_propagation(diff1):
