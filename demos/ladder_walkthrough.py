@@ -17,6 +17,9 @@ sc = ke.preset_scenario("DIFF1")
 phi = ke.make_profile(sc, "tilted")
 
 print("partition count n, Cauchy gap to the previous level, log2 rate")
+# "-" marks a row with no rate: the first row, and any row whose gap or
+# previous gap sits at the rounding floor (n = 1 and 2 share their frozen
+# samples up to rounding here, so the first gap is noise)
 for n, gap, rate in ke.convergence_study(sc, 0.875, 0.0, phi):
     rate_txt = "   -" if rate != rate else f"{rate:5.2f}"
     print(f"  n = {n:3d}   gap = {gap:.3e}   rate = {rate_txt}")

@@ -25,7 +25,6 @@ from .core import (
     apply_generator,
     birth_quadrature,
     build_scenario,
-    centered_derivative,
     check_birth_balance,
     graph_state_norm,
     lp_age_norm,
@@ -34,7 +33,6 @@ from .core import (
     neumann_laplacian,
     preset_scenario,
     refine_scenario,
-    regularity_norm,
     spatial_norm,
     state_norm,
     upwind_derivative,

@@ -36,10 +36,8 @@ __all__ = [
     "graph_pair_norm",
     "state_norm",
     "graph_state_norm",
-    "regularity_norm",
     "lp_age_norm",
     "upwind_derivative",
-    "centered_derivative",
     "birth_quadrature",
     "check_birth_balance",
     "neumann_laplacian",
@@ -195,10 +193,12 @@ def _sample(evaluate, ages, dim, what, at=""):
     """evaluate(ages) as one (len(ages), d, d) stack, copied and checked once.
 
     A wrong shape or a non-finite entry at any age raises ValidationError;
-    the finiteness message names the first bad age.
+    the finiteness message names the first bad age.  Overflow inside the
+    evaluator is left to that message instead of a warning of its own.
     """
     ages = np.asarray(ages, dtype=float)
-    stack = np.array(evaluate(ages), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = np.array(evaluate(ages), dtype=float)
     if stack.shape != (len(ages), dim, dim):
         raise ValidationError(
             f"{what} returned shape {stack.shape}, expected {(len(ages), dim, dim)}"
@@ -543,27 +543,6 @@ def upwind_derivative(phi):
     out[1:] = (vals[1:] - vals[:-1]) / h
     out[0] = (vals[1] - vals[0]) / h
     return phi.with_values(out)
-
-
-def centered_derivative(phi):
-    """Central difference in age, one-sided at both end nodes."""
-    vals = phi.values
-    h = phi.grid.step
-    out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2 * h)
-    out[0] = (vals[1] - vals[0]) / h
-    out[-1] = (vals[-1] - vals[-2]) / h
-    return phi.with_values(out)
-
-
-def regularity_norm(scenario, phi):
-    """Graph norm plus the base norm of the age derivative.
-
-    The derivative term uses central differences; the admissibility and
-    generator computations elsewhere deliberately use upwind differences,
-    this norm is the only central-difference consumer.
-    """
-    return graph_state_norm(scenario, phi) + state_norm(scenario, centered_derivative(phi))
 
 
 def lp_age_norm(scenario, phi, p, ell=0):

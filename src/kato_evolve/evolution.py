@@ -142,6 +142,11 @@ def _gap(scenario, a, b):
     return state_norm(scenario, a.with_values(a.values - b.values))
 
 
+def _floor(scenario, phi_norm, a, b):
+    """Rounding floor of the gap between levels a and b evolved from phi."""
+    return FLOOR_FACTOR * max(phi_norm, state_norm(scenario, a), state_norm(scenario, b))
+
+
 def apply_evolution(
     scenario, t, s, phi, tol=1e-6, n_max=None, extrapolate=False, confirm=0
 ):
@@ -205,11 +210,7 @@ def apply_evolution(
 
     def pair_gap(i):
         a, b = level(ns[i]), level(ns[i + 1])
-        gap = _gap(scenario, a, b)
-        floor = FLOOR_FACTOR * max(
-            phi_norm, state_norm(scenario, a), state_norm(scenario, b)
-        )
-        return gap, floor
+        return _gap(scenario, a, b), _floor(scenario, phi_norm, a, b)
 
     def accept(i_coarse, gap, history):
         coarse, fine = level(ns[i_coarse]), level(ns[i_coarse + 1])
@@ -328,22 +329,26 @@ def convergence_study(scenario, t, s, phi, n_values=None):
     """Gap table of the doubling ladder: rows (n, gap to level 2n, rate).
 
     The rate column holds log2 of the previous gap over the current one
-    (nan for the first row and wherever either gap is zero).  For fields
-    Lipschitz in time the gaps decay at first order, rate near 1.
+    (nan for the first row and wherever either gap sits at the ladder's
+    rounding floor: ``FLOOR_FACTOR`` times the largest norm of phi and of
+    the pair, as in :func:`apply_evolution`).  For fields Lipschitz in time
+    the gaps decay at first order, rate near 1.
     """
     if n_values is None:
         n_values = allowed_partitions(scenario)
         n_values = n_values[:-1] if len(n_values) > 1 else n_values
+    phi_norm = state_norm(scenario, phi)
     rows = []
-    prev_gap = None
+    prev_signal = None
     for n in n_values:
         coarse = apply_approximant(scenario, n, t, s, phi)
         fine = apply_approximant(scenario, 2 * n, t, s, phi)
         gap = _gap(scenario, coarse, fine)
-        if prev_gap is not None and prev_gap > 0 and gap > 0:
-            rate = float(np.log2(prev_gap / gap))
+        signal = gap if gap > _floor(scenario, phi_norm, coarse, fine) else None
+        if prev_signal is not None and signal is not None:
+            rate = float(np.log2(prev_signal / signal))
         else:
             rate = float("nan")
         rows.append((n, gap, rate))
-        prev_gap = gap
+        prev_signal = signal
     return rows

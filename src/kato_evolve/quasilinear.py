@@ -40,7 +40,11 @@ class QuasilinearProblem:
     bounds the state sensitivity of that map in the base norm,
     ``ball_radius`` and ``ball_center`` fix the trust ball, and ``lp_mode``
     (p, n_zero), when set, additionally confines iterates in the discrete
-    L_p-in-age norm.
+    L_p-in-age norm.  ``lipschitz_t``, when declared, bounds the time
+    sensitivity t -> A(v, t) in the operator norm at any fixed state of the
+    ball; a frozen trajectory's field adds the state drift to it, and 0.0
+    on a constant iterate lets the evolution ladder stop at one level.
+    None (the default) declares nothing and every iterate runs the ladder.
     """
 
     operator_of_state: object
@@ -48,6 +52,7 @@ class QuasilinearProblem:
     ball_radius: float
     ball_center: StateVector
     lp_mode: tuple = None
+    lipschitz_t: float | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.lipschitz_l) and self.lipschitz_l > 0):
@@ -62,6 +67,10 @@ class QuasilinearProblem:
                 raise ValidationError("lp_mode exponent must exceed 1")
             if not (np.isfinite(n_zero) and n_zero > 0):
                 raise ValidationError("lp_mode n_zero must be positive")
+        if self.lipschitz_t is not None and not (
+            np.isfinite(self.lipschitz_t) and self.lipschitz_t >= 0
+        ):
+            raise ValidationError("lipschitz_t must be a nonnegative real or None")
 
 
 @dataclass(frozen=True)
@@ -200,11 +209,24 @@ def _trajectory_field(scenario, problem, times, states):
 
     The trajectory is interpolated linearly in time.  Each sample of the
     field blends the state at its frozen time once and hands the whole age
-    array to ``operator_of_state`` in one call.
+    array to ``operator_of_state`` in one call.  The field's declared
+    time-Lipschitz constant is the problem's ``lipschitz_t`` plus
+    ``lipschitz_l`` times the interpolant's own Lipschitz constant, the
+    largest node-to-node state gap over dt: exactly 0.0 for a constant
+    trajectory on a time-independent family, and None when the problem
+    declares no time constant.
     """
     values = [s.values for s in states]
     n_nodes = len(times)
     dt = times[1] - times[0] if n_nodes > 1 else 1.0
+    lipschitz_t = None
+    if problem.lipschitz_t is not None:
+        drift = max(
+            (state_norm(scenario, a.with_values(b.values - a.values))
+             for a, b in zip(states, states[1:])),
+            default=0.0,
+        )
+        lipschitz_t = problem.lipschitz_t + problem.lipschitz_l * drift / dt
 
     def evaluate(t, ages):
         if n_nodes == 1:
@@ -217,7 +239,7 @@ def _trajectory_field(scenario, problem, times, states):
             blended = (1.0 - w) * values[j] + w * values[j + 1]
         return problem.operator_of_state(StateVector(scenario.age_grid, blended), t, ages)
 
-    return OperatorField(scenario.dim, evaluate, lipschitz_t=None, label="state-coupled")
+    return OperatorField(scenario.dim, evaluate, lipschitz_t=lipschitz_t, label="state-coupled")
 
 
 def _picard_step(scenario, problem, times, states, tol):
@@ -358,7 +380,10 @@ def norm_coupled_diffusion(scenario, epsilon, radius, center=None, lp_mode=None)
     The declared Lipschitz constant is epsilon times the largest field
     matrix norm sampled on the grid, which is exact for this family since
     the field difference between two states is the norm difference times
-    the same matrix.
+    the same matrix.  The declared time constant is the base field's
+    ``lipschitz_t`` times the largest scale in the ball, 1 + epsilon
+    (|center| + radius): 0.0 on a time-independent base, None when the base
+    declares none.
     """
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValidationError("epsilon must be a nonnegative real")
@@ -377,10 +402,14 @@ def norm_coupled_diffusion(scenario, epsilon, radius, center=None, lp_mode=None)
         stack *= 1.0 + epsilon * state_norm(scenario, v)
         return stack
 
+    base_t = scenario.operator.lipschitz_t
+    if base_t is not None:
+        base_t = (1.0 + epsilon * (state_norm(scenario, phi) + radius)) * base_t
     return QuasilinearProblem(
         operator_of_state=operator_of_state,
         lipschitz_l=max(epsilon * peak, 1e-12),
         ball_radius=radius,
         ball_center=phi,
         lp_mode=lp_mode,
+        lipschitz_t=base_t,
     )

@@ -44,7 +44,6 @@ __all__ = [
     "solve_birth",
     "birth_identity_residual",
     "birth_derivative_residual",
-    "transported_rows",
     "branch_values",
 ]
 
@@ -108,19 +107,6 @@ def _profile_at(scenario, t, phi_values, births, m):
         _shift(steps, u)
         u[0] = births[k]
     return u
-
-
-def transported_rows(scenario, t, phi_values, level):
-    """Rows U_t(a_{j+level}, a_j) phi(a_j) for j = 0 .. n_age - level.
-
-    The same shift loop as the renewal march, with phi(a_0) as the only
-    newborn value, so the rows agree bitwise with the march's profile.
-    """
-    if level > scenario.age_grid.n_age:
-        raise ValidationError("transport level exceeds the age grid")
-    births = np.zeros((level + 1, scenario.dim))
-    births[0] = phi_values[0]
-    return _profile_at(scenario, t, phi_values, births, level)[level:]
 
 
 def _march(scenario, t, u, fluxes):

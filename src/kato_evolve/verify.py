@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ConvergenceError,
     check_birth_balance,
     make_profile,
     state_norm,
@@ -93,6 +94,11 @@ def _result(name, passed, margin, detail):
 
 def _skip(name, detail):
     return CheckResult(name, "skip", float("nan"), detail)
+
+
+def _failed(name, exc):
+    """A check that could not finish: failed, carrying the error's message."""
+    return _result(name, False, float("-inf"), str(exc))
 
 
 def _random_plan(scenario, rng, n_factors):
@@ -211,7 +217,7 @@ def run_verification(scenario, seed=0, tol=1e-3):
             )
         )
     except Exception as exc:  # noqa: BLE001 - recorded, not raised
-        checks.append(_result("evolution_ladder", False, float("-inf"), str(exc)))
+        checks.append(_failed("evolution_ladder", exc))
         moved = None
 
     if moved is None:
@@ -222,21 +228,33 @@ def run_verification(scenario, seed=0, tol=1e-3):
         # counts compatible with the age lattice top out before rough
         # profiles push the pair gaps much below a few parts per thousand
         cocycle_tol = tol if scenario.operator.time_independent else max(tol, 5e-3)
-        res = evolution_cocycle_residual(scenario, 0.0, t_mid, t_hi, phi, tol=cocycle_tol)
-        bound = 3 * cocycle_tol * phi_norm
-        checks.append(
-            _result(
-                "cocycle_residual",
-                res <= bound,
-                bound - res,
-                f"splice at {t_mid:g} on [0, {t_hi:g}], residual {res:.3e} "
-                f"at tol {cocycle_tol:g}",
+        try:
+            res = evolution_cocycle_residual(
+                scenario, 0.0, t_mid, t_hi, phi, tol=cocycle_tol
             )
-        )
-        margin = evolution_bound_margin(scenario, t_hi, 0.0, phi, tol=tol, slack=SLACK)
-        checks.append(
-            _result("evolution_bound_margin", margin >= 0, margin, "5% slack")
-        )
+        except ConvergenceError as exc:
+            checks.append(_failed("cocycle_residual", exc))
+        else:
+            bound = 3 * cocycle_tol * phi_norm
+            checks.append(
+                _result(
+                    "cocycle_residual",
+                    res <= bound,
+                    bound - res,
+                    f"splice at {t_mid:g} on [0, {t_hi:g}], residual {res:.3e} "
+                    f"at tol {cocycle_tol:g}",
+                )
+            )
+        try:
+            margin = evolution_bound_margin(
+                scenario, t_hi, 0.0, phi, tol=tol, slack=SLACK
+            )
+        except ConvergenceError as exc:
+            checks.append(_failed("evolution_bound_margin", exc))
+        else:
+            checks.append(
+                _result("evolution_bound_margin", margin >= 0, margin, "5% slack")
+            )
 
     t_end = (base // 2) * h
     if t_end <= 0:

@@ -125,6 +125,16 @@ def test_overflowing_step_map_fails_cleanly(capsys, tmp_path, config):
     assert err.startswith("error: step map is not finite at t=0.0, cell 0 (a=")
 
 
+def test_overflowing_operator_field_reports_once(capsys, tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(
+        {"preset": "DIFF1", "operator": {"kind": "modulated_laplacian", "kappa0": -1e305}}))
+    code, out, err = run(capsys, "semigroup", "--scenario", str(path), "--s", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: operator field is not finite at t=0.0, a=0.0078125\n"
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -159,6 +169,24 @@ def test_verify_failure_exits_two(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--scenario", str(path))
     assert code == 2
     assert json.loads(out)["failures"] >= 1
+
+
+def test_unconverged_cocycle_leg_is_a_failed_check(capsys, monkeypatch):
+    from kato_evolve import verify
+
+    def unconverged(*args, **kwargs):
+        raise ke.ConvergenceError("no Cauchy acceptance (forced)")
+
+    monkeypatch.setattr(verify, "evolution_cocycle_residual", unconverged)
+    code, out, err = run(capsys, "verify", "--preset", "QDIFF")
+    assert code == 2
+    assert err == ""
+    payload = json.loads(out)
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["cocycle_residual"] == {
+        "name": "cocycle_residual", "status": "fail", "margin": None,
+        "detail": "no Cauchy acceptance (forced)"}
+    assert payload["failures"] == 1
 
 
 def test_out_directory_gets_report_and_csv(capsys, tmp_path):
@@ -206,6 +234,8 @@ def test_convergence_study_csv(capsys, tmp_path):
     assert ns == [1, 2, 4, 8, 16, 32]
     payload = json.loads(out)
     assert len(payload["rows"]) == len(ns)
+    # row 1's gap sits at the rounding floor, so neither it nor row 2 has a rate
+    assert [rate is None for _, _, rate in payload["rows"]] == [True, True] + [False] * 4
 
 
 def test_evolve_reports_the_scenario_eta(capsys):

@@ -274,9 +274,7 @@ def test_laplacian_kills_constants():
 def test_age_derivatives_on_linear(scal0):
     lin = ke.make_profile(scal0, "linear")
     up = ke.upwind_derivative(lin)
-    cen = ke.centered_derivative(lin)
     assert np.allclose(up.values, 1.0, atol=1e-12)
-    assert np.allclose(cen.values, 1.0, atol=1e-12)
 
 
 def test_birth_balance_enforcement(scal0):

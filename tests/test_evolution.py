@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kato_evolve as ke
+from kato_evolve.evolution import FLOOR_FACTOR
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,10 @@ def test_convergence_study_shape_and_rates(diff1, tilted):
     assert ns == [1, 2, 4, 8, 16, 32]
     first_rate = rows[0][2]
     assert first_rate is None or np.isnan(first_rate)
+    # the first gap is rounding noise, so the row after it reports no rate
+    assert rows[0][1] <= FLOOR_FACTOR * ke.state_norm(diff1, tilted)
+    assert np.isnan(rows[1][2])
+    assert all(np.isfinite(rate) for _, _, rate in rows[2:])
     # asymptotic rows sit at first order: raw gap ratios land near 2
     gaps = {n: gap for n, gap, _ in rows}
     for n in (4, 8, 16):

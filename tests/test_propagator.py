@@ -8,7 +8,6 @@ from scipy.linalg import expm
 
 import kato_evolve as ke
 from kato_evolve.propagator import _expm_stack, _step_stack, propagate_indices
-from kato_evolve.renewal import transported_rows
 
 
 def fresh(scenario):
@@ -127,16 +126,6 @@ def test_overflowing_step_map_is_named(config):
     sc = ke.build_scenario(config)
     with pytest.raises(ke.ValidationError, match=r"^step map is not finite at t=0\.0, cell 0 \(a="):
         ke.apply_semigroup(sc, 0.0, 0.5, ke.make_profile(sc, "tilted"))
-
-
-def test_batched_transport_matches_per_row_propagation(diff1):
-    phi = ke.make_profile(diff1, "smooth_random", seed=2).values
-    n = diff1.age_grid.n_age
-    for level in (0, 1, n // 3, n):
-        rows = transported_rows(diff1, 0.3, phi, level)
-        loop = np.array([propagate_indices(diff1, 0.3, j, j + level, phi[j])
-                         for j in range(n - level + 1)])
-        assert np.allclose(rows, loop, rtol=64 * np.finfo(float).eps, atol=1e-15)
 
 
 def test_step_maps_are_read_only(diff1):

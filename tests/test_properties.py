@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kato_evolve as ke
+from kato_evolve.quasilinear import _trajectory_field
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -111,3 +112,36 @@ def test_oracle_keeps_nonnegative_data_nonnegative(name, seed, data):
     values *= rng.random(values.shape) < 0.7  # zero patches as well
     final = ke.solve_direct(sc, ke.StateVector(g, values), steps * g.step).final
     assert final.values.min() >= -1e-10
+
+
+COUPLED = {name: ke.preset_scenario(name) for name in ("QDIFF", "DIFF1")}
+
+
+@hypothesis.settings(max_examples=25, derandomize=True)
+@hypothesis.given(st.sampled_from(sorted(COUPLED)), st.booleans(), st.integers(0, 2**16),
+                  st.data())
+def test_trajectory_field_obeys_its_declared_time_constant(name, constant, seed, data):
+    sc = COUPLED[name]
+    problem = ke.norm_coupled_diffusion(sc, 0.05, 1.0)
+    center = problem.ball_center
+    cells = data.draw(st.integers(1, 8))
+    rng = np.random.default_rng(seed)
+
+    def in_ball():
+        raw = rng.standard_normal(center.values.shape)
+        scale = problem.ball_radius * rng.uniform(0.0, 1.0) / ke.state_norm(
+            sc, center.with_values(raw))
+        return center.with_values(center.values + scale * raw)
+
+    states = [center if constant else in_ball() for _ in range(cells + 1)]
+    times = tuple(j * sc.time_grid.step for j in range(cells + 1))
+    field = _trajectory_field(sc, problem, times, states)
+    # a constant iterate skips the ladder only when the family itself is
+    # time-independent
+    assert field.time_independent == (constant and sc.operator.time_independent)
+    span = st.floats(0.0, 1.25 * times[-1])
+    t1, t2 = data.draw(span), data.draw(span)
+    nodes = sc.age_grid.nodes
+    moved = field.sample(t1, nodes) - field.sample(t2, nodes)
+    gap = max(ke.matrix_norm(m, sc.norm) for m in moved)
+    assert gap <= field.lipschitz_t * abs(t1 - t2) * (1 + 1e-9)

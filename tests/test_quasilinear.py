@@ -49,6 +49,21 @@ def test_problem_validation(qdiff):
         ke.QuasilinearProblem(op, 1.0, 1.0, center, lp_mode=(1.0, 1.0))
     with pytest.raises(ke.ValidationError):
         ke.QuasilinearProblem(op, 1.0, 1.0, center, lp_mode=(2.0, 0.0))
+    for bad in (-1e-3, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ke.ValidationError, match="lipschitz_t"):
+            ke.QuasilinearProblem(op, 1.0, 1.0, center, lipschitz_t=bad)
+    for good in (None, 0.0, 2.5):
+        assert ke.QuasilinearProblem(op, 1.0, 1.0, center, lipschitz_t=good).lipschitz_t == good
+
+
+def test_norm_coupled_family_declares_its_time_constant(qdiff, diff1):
+    assert ke.norm_coupled_diffusion(qdiff, EPS, RADIUS).lipschitz_t == 0.0
+    problem = ke.norm_coupled_diffusion(diff1, EPS, RADIUS)
+    scale = 1.0 + EPS * (ke.state_norm(diff1, problem.ball_center) + RADIUS)
+    assert problem.lipschitz_t == scale * diff1.operator.lipschitz_t > 0
+    undeclared = dataclasses.replace(diff1, operator=dataclasses.replace(
+        diff1.operator, lipschitz_t=None))
+    assert ke.norm_coupled_diffusion(undeclared, EPS, RADIUS).lipschitz_t is None
 
 
 def test_norm_coupled_family_scales_the_field(qdiff):
@@ -239,3 +254,46 @@ def test_coupled_field_takes_one_state_per_sample(qdiff, monkeypatch):
     ke.solve_quasilinear(qdiff, counted_problem, tol=TOL)
     assert samples and calls == samples
     assert min(calls) > 1
+
+
+def workload_center(sc, seed=1):
+    """The seeded tilt of peak size 0.005 that the picard-quasilinear benchmark centres on."""
+    rng = np.random.default_rng(seed)
+    ages = sc.age_grid.nodes / sc.age_grid.a_max
+    x = np.linspace(0.0, 1.0, sc.dim)
+    tilt = sum(
+        rng.uniform(-1.0, 1.0) * np.outer(np.cos(np.pi * ka * ages), np.cos(np.pi * kx * x))
+        for ka in range(3) for kx in (1, 2)
+    )
+    return ke.StateVector(sc.age_grid, 1.0 + 0.005 * tilt / np.max(np.abs(tilt)))
+
+
+def test_constant_iterates_run_one_ladder_level(qdiff, monkeypatch):
+    from kato_evolve import propagator, renewal
+
+    stacks, steps = [], []
+    step_stack, march = propagator._step_stack, renewal._march
+    monkeypatch.setattr(propagator, "_step_stack",
+                        lambda *a: stacks.append(1) or step_stack(*a))
+    monkeypatch.setattr(renewal, "_march",
+                        lambda sc, t, u, fluxes: steps.append(len(fluxes)) or march(sc, t, u, fluxes))
+
+    def operation(problem):
+        sc = dataclasses.replace(qdiff, caches={})
+        stacks.clear()
+        steps.clear()
+        traj, t_phi, report = ke.solve_quasilinear(sc, problem, tol=TOL)
+        residual = ke.fixed_point_residual(sc, problem, traj, tol=TOL)
+        return traj, report, residual, len(stacks), sum(steps)
+
+    problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS, center=workload_center(qdiff))
+    assert problem.lipschitz_t == 0.0
+    traj, report, residual, n_stacks, n_steps = operation(problem)
+    ref, ref_report, ref_residual, ref_stacks, ref_steps = operation(
+        dataclasses.replace(problem, lipschitz_t=None))
+    assert (n_stacks, n_steps) == (6, 96)
+    assert (ref_stacks, ref_steps) == (12, 144)
+    assert traj.times == ref.times and traj.n_used == ref.n_used
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(traj.states, ref.states))
+    assert report == ref_report
+    assert residual == ref_residual

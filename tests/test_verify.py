@@ -3,6 +3,7 @@
 import math
 
 import kato_evolve as ke
+from kato_evolve import verify
 
 BATTERY_NAMES = [
     "birth_balance_enforcement",
@@ -65,3 +66,19 @@ def test_as_dict_shape(qdiff, mort1):
     skipped = ke.run_verification(mort1, seed=0).as_dict()
     margins = {c["name"]: c["margin"] for c in skipped["checks"]}
     assert margins["quasilinear_fixed_point"] is None
+
+
+def test_unconverged_evolution_legs_are_reported_not_raised(qdiff, monkeypatch):
+    def unconverged(*args, **kwargs):
+        raise ke.ConvergenceError("no Cauchy acceptance (forced)")
+
+    monkeypatch.setattr(verify, "evolution_cocycle_residual", unconverged)
+    monkeypatch.setattr(verify, "evolution_bound_margin", unconverged)
+    report = ke.run_verification(qdiff, seed=0)
+    assert [c.name for c in report.checks] == BATTERY_NAMES
+    by_name = {c.name: c for c in report.checks}
+    for name in ("cocycle_residual", "evolution_bound_margin"):
+        assert by_name[name].status == "fail"
+        assert by_name[name].margin == float("-inf")
+        assert by_name[name].detail == "no Cauchy acceptance (forced)"
+    assert report.failures == 2
