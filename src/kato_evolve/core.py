@@ -267,37 +267,33 @@ class Tolerances:
     """Positive thresholds of the residual checks, one per invariant."""
 
     volterra: float = 1e-8
-    cocycle: float = 1e-6
     membership: float = 1e-8
     semigroup: float = 1e-6
     composition: float = 1e-8
 
     def __post_init__(self):
-        for name in ("volterra", "cocycle", "membership", "semigroup", "composition"):
+        for name in ("volterra", "membership", "semigroup", "composition"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"tolerance {name} must be positive")
 
 
 @dataclass(frozen=True)
 class StabilityConstants:
-    """Bound constants for the propagator and its products.
+    """Bound constants for finite products of propagators.
 
-    ``m_frozen``/``omega_frozen`` bound a single frozen-time propagator:
-    norm(U(a, s)) <= m_frozen * exp(omega_frozen * (a - s)).  ``m0``/``omega0``
-    and ``m1``/``omega1`` bound arbitrary finite products of propagators taken
-    at nondecreasing times, in the base spatial norm and in the graph norm
-    against the reference operator.
+    ``m0``/``omega0`` and ``m1``/``omega1`` bound arbitrary finite products
+    of propagators taken at nondecreasing times, norm <= m * exp(omega *
+    total span), in the base spatial norm and in the graph norm against the
+    reference operator.
     """
 
-    m_frozen: float
-    omega_frozen: float
     m0: float
     omega0: float
     m1: float
     omega1: float
 
     def __post_init__(self):
-        for name in ("m_frozen", "m0", "m1"):
+        for name in ("m0", "m1"):
             if getattr(self, name) < 1.0:
                 raise ValidationError(f"{name} must be >= 1")
 
@@ -354,8 +350,9 @@ class _Caches(dict):
 class Scenario:
     """Immutable bundle of grids, operators, and tolerances.
 
-    ``caches`` holds the per-frozen-time step-map stacks (the renewal march
-    shifts profiles through them one cell at a time, so no chain is cached),
+    ``caches`` holds the per-frozen-time stacks of exponential midpoint step
+    maps, keyed ``("frozen", t)`` (the renewal march shifts profiles through
+    them one cell at a time, so no chain is cached),
     birth trajectories, the boundary LU factorization, the sampled birth
     kernel (one array of rows in matrix-vector layout, which
     ``birth_matrices`` views) with its norms and the default stability
@@ -374,7 +371,6 @@ class Scenario:
     birth: BirthKernel
     reference_operator: np.ndarray
     norm: str = "two"
-    integrator_order: int = 2
     tolerances: Tolerances = field(default_factory=Tolerances)
     s_max_factor: float = 10.0
     label: str = "custom"
@@ -383,8 +379,6 @@ class Scenario:
     def __post_init__(self):
         if self.norm not in _NORM_TAGS:
             raise ValidationError(f"spatial norm must be one of {_NORM_TAGS}")
-        if self.integrator_order not in (1, 2):
-            raise ValidationError("integrator_order must be 1 or 2")
         if self.dim < 1:
             raise ValidationError("dim must be at least 1")
         ref = np.asarray(self.reference_operator, dtype=float)
@@ -584,14 +578,12 @@ def birth_quadrature(scenario, values):
     return g.step * (scenario._birth_rows() @ weighted.ravel())
 
 
-def check_birth_balance(scenario, phi, tol=None):
+def check_birth_balance(scenario, phi):
     """Whether phi(0) matches the birth integral of phi, and the residual."""
-    if tol is None:
-        tol = scenario.tolerances.membership
     residual = spatial_norm(
         phi.values[0] - birth_quadrature(scenario, phi.values), scenario.norm
     )
-    return residual <= tol, float(residual)
+    return residual <= scenario.tolerances.membership, float(residual)
 
 
 def apply_generator(scenario, t, phi, require_balance=False):
@@ -751,7 +743,6 @@ _SCENARIO_KEYS = {
     "operator",
     "birth",
     "norm",
-    "integrator_order",
     "tolerances",
     "s_max_factor",
     "reference_operator",
@@ -764,8 +755,8 @@ def build_scenario(config):
 
     Either ``{"preset": name, ...overrides}`` or a full custom description
     with the keys dim, a_max, n_age, T, n_time, operator, birth and optional
-    norm, integrator_order, tolerances, s_max_factor, reference_operator,
-    label.  Unknown keys are rejected.
+    norm, tolerances, s_max_factor, reference_operator, label.  Unknown keys
+    are rejected.
     """
     if not isinstance(config, dict):
         raise ConfigError("scenario configuration must be a mapping")
@@ -818,7 +809,6 @@ def build_scenario(config):
     tol_spec = dict(config.get("tolerances", {}))
     unknown_tol = set(tol_spec) - {
         "volterra",
-        "cocycle",
         "membership",
         "semigroup",
         "composition",
@@ -835,7 +825,6 @@ def build_scenario(config):
         birth=birth,
         reference_operator=ref,
         norm=config.get("norm", "two"),
-        integrator_order=int(config.get("integrator_order", 2)),
         tolerances=tolerances,
         s_max_factor=float(config.get("s_max_factor", 10.0)),
         label=str(config.get("label", preset or "custom")),
@@ -882,7 +871,6 @@ def _preset_config(name):
             "birth": {"kind": "constant", "beta": 2.0},
             "norm": "one",
             "reference_operator": "identity",
-            "integrator_order": 2,
         }
     if name == "DIFF1":
         return {
@@ -901,7 +889,6 @@ def _preset_config(name):
             "birth": {"kind": "constant", "beta": 0.5},
             "norm": "two",
             "reference_operator": "laplacian",
-            "integrator_order": 2,
         }
     if name == "MORT1":
         return {
@@ -916,7 +903,6 @@ def _preset_config(name):
             "birth": {"kind": "constant", "beta": 1.0 / (1.0 - math.exp(-1.0))},
             "norm": "one",
             "reference_operator": "identity",
-            "integrator_order": 2,
         }
     if name == "QDIFF":
         return {
@@ -935,7 +921,6 @@ def _preset_config(name):
             "birth": {"kind": "constant", "beta": 0.2},
             "norm": "two",
             "reference_operator": "laplacian",
-            "integrator_order": 2,
         }
     raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESET_NAMES)}")
 

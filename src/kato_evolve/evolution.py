@@ -75,12 +75,12 @@ def _base_steps(scenario):
     return scenario.age_grid.index_of(scenario.time_grid.horizon, "time horizon")
 
 
-def allowed_partitions(scenario, n_max=None):
+def allowed_partitions(scenario):
     """Power-of-two partition counts whose cells are whole age steps."""
     base = _base_steps(scenario)
     out = []
     n = 1
-    while base % n == 0 and (n_max is None or n <= n_max):
+    while base % n == 0:
         out.append(n)
         n *= 2
     if not out:
@@ -147,9 +147,7 @@ def _floor(scenario, phi_norm, a, b):
     return FLOOR_FACTOR * max(phi_norm, state_norm(scenario, a), state_norm(scenario, b))
 
 
-def apply_evolution(
-    scenario, t, s, phi, tol=1e-6, n_max=None, extrapolate=False, confirm=0
-):
+def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0):
     """Evolve phi from time s to t, doubling the partition until Cauchy.
 
     Accepts when the gap between consecutive levels drops to tol times the
@@ -182,7 +180,7 @@ def apply_evolution(
     if tol <= 0:
         raise ValidationError("tol must be positive")
     phi_norm = state_norm(scenario, phi)
-    allowed = allowed_partitions(scenario, n_max)
+    allowed = allowed_partitions(scenario)
     ns = []
     plans = []
     for n in allowed:

@@ -198,19 +198,18 @@ def stability_margin(scenario, plan, phi, constants, ell, slack=0.0):
     return float(bound - _ell_state_norm(scenario, product, ell))
 
 
-def birth_chain_margin(scenario, plan, phi, constants, ell, s_values=None, slack=0.0):
+def birth_chain_margin(scenario, plan, phi, constants, ell, slack=0.0):
     """Bound margin for the newborn flux of a partial product.
 
     The last plan entry names the frozen time of the trajectory; the earlier
     entries form the partial product whose flux is bounded.  The bound grows
     with the trajectory span s plus the partial product's total duration;
-    the minimum margin over the sampled s values is returned.
+    the minimum margin over s = 0, a_max / 2 and a_max is returned.
     """
     m, rate = growth_bound(scenario, ell, constants)
     bnorm = scenario.birth_norm(ell)
     g = scenario.age_grid
-    if s_values is None:
-        s_values = (0.0, g.a_max / 2, g.a_max)
+    s_values = (0.0, g.a_max / 2, g.a_max)
     prefix_plan_total = float(sum(plan.durations[:-1]))
     state = phi
     if plan.n_factors > 1:
@@ -219,7 +218,7 @@ def birth_chain_margin(scenario, plan, phi, constants, ell, s_values=None, slack
             ProductPlan(plan.times[:-1], plan.durations[:-1]),
             phi,
         )
-    traj = solve_birth(scenario, plan.times[-1], state, max(s_values))
+    traj = solve_birth(scenario, plan.times[-1], state, g.a_max)
     phi_norm = _ell_state_norm(scenario, phi, ell)
     ref = scenario.reference_operator
     margin = np.inf

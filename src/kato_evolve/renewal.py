@@ -12,10 +12,11 @@ condition (Webb 1985; Iannelli 1995); the diagonal a = s is newborn.  The
 condition is one composite trapezoid quadrature of the shifted profile, so
 the discrete birth trajectory is EXACTLY the birth integral of the discrete
 evolved profile, up to the per-step d x d solve with matrix I - (h/2) b(0)
-for the unknown B(s_k) at the a = 0 endpoint.  The march, its warm restart
-and the evolved profile run the same shift loop; no chain is formed.  The
-march also evolves product plans, each factor restarting it from the
-current profile, with no replay.
+for the unknown B(s_k) at the a = 0 endpoint.  One shift loop, ``_march``,
+does every step: it replays fluxes already known (a warm restart, the
+evolved profile) and solves for the rest; no chain is formed.  The march
+also evolves product plans, each factor restarting it from the current
+profile, with no replay.
 
 The march is first order at the branch seam for incompatible data and second
 order for balanced profiles; both refine under grid halving.
@@ -89,38 +90,39 @@ def _shift(steps, u):
     u[1:] = np.matmul(steps, u[:-1, :, None])[:, :, 0]
 
 
-def _profile_at(scenario, t, phi_values, births, m):
-    """The evolved profile after m age steps, replaying known newborn fluxes.
-
-    Nodes i <= m carry births[m - i] (the diagonal is newborn), nodes i > m
-    carry transported phi.  Fluxes older than n_age steps have left the grid,
-    so the replay starts from zeros at step m - n_age when that is positive.
-    """
-    steps = _frozen_maps(scenario, t)
-    start = max(0, m - scenario.age_grid.n_age)
-    if start == 0:
-        u = np.array(phi_values, dtype=float)
-    else:
-        u = np.zeros((scenario.age_grid.n_age + 1, scenario.dim))
-    u[0] = births[start]
-    for k in range(start + 1, m + 1):
-        _shift(steps, u)
-        u[0] = births[k]
-    return u
-
-
-def _march(scenario, t, u, fluxes):
+def _march(scenario, t, u, fluxes, known=0):
     """Advance profile u in place by len(fluxes) age steps at frozen time t.
 
-    Each step shifts u one age cell through the step maps and solves the
-    boundary system for the newborn flux, stored in u[0] and ``fluxes``.
+    Each step shifts u one age cell through the step maps and refills u[0]
+    with the newborn flux: the first ``known`` steps replay ``fluxes`` as
+    given, the rest solve the boundary system and store the flux there.
     """
     steps = _frozen_maps(scenario, t)
     for k in range(len(fluxes)):
         _shift(steps, u)
-        u[0] = 0.0  # slot of the implicit unknown
-        fluxes[k] = _boundary_solve(scenario, birth_quadrature(scenario, u))
+        if k >= known:
+            u[0] = 0.0  # slot of the implicit unknown
+            fluxes[k] = _boundary_solve(scenario, birth_quadrature(scenario, u))
         u[0] = fluxes[k]
+
+
+def _profile_at(scenario, t, phi_values, fluxes, known):
+    """The profile evolved from phi over m = len(fluxes) - 1 age steps.
+
+    ``fluxes[0]`` is phi's newborn flux; fluxes 1 .. known are replayed as
+    given and the rest are solved in place.  Nodes i <= m carry
+    fluxes[m - i] (the diagonal is newborn), nodes i > m carry transported
+    phi.  Fluxes older than n_age steps have left the grid, so the replay
+    starts from zeros at step known - n_age when that is positive.
+    """
+    start = max(0, known - scenario.age_grid.n_age)
+    if start == 0:
+        u = np.array(phi_values, dtype=float)
+    else:
+        u = np.zeros((scenario.age_grid.n_age + 1, scenario.dim))
+    u[0] = fluxes[start]
+    _march(scenario, t, u, fluxes[start + 1:], known - start)
+    return u
 
 
 def _march_plan(scenario, schedule, phi_values):
@@ -159,15 +161,14 @@ def solve_birth(scenario, t, phi, s_max):
         if cached.n_steps == n_steps:
             return cached
         return BirthTrajectory(t, g.step, cached.values[: n_steps + 1])
-    if cached is None:
-        known = birth_quadrature(scenario, phi.values)[None, :]
-    else:  # warm restart: replay the cached fluxes and march on
-        known = cached.values
-    start = known.shape[0]
     values = np.empty((n_steps + 1, scenario.dim))
-    values[:start] = known
-    u = _profile_at(scenario, t, phi.values, values, start - 1)
-    _march(scenario, t, u, values[start:])
+    if cached is None:
+        known = 0
+        values[0] = birth_quadrature(scenario, phi.values)
+    else:  # warm restart: replay the cached fluxes and march on
+        known = cached.n_steps
+        values[: known + 1] = cached.values
+    _profile_at(scenario, t, phi.values, values, known)
     values.flags.writeable = False
     traj = BirthTrajectory(t, g.step, values)
     scenario.caches[key] = traj
@@ -202,25 +203,20 @@ def birth_identity_residual(scenario, t, phi, s):
     return spatial_norm(traj.values[m] - integral, scenario.norm)
 
 
-def birth_derivative_residual(scenario, t, phi, s, dstep=None):
+def birth_derivative_residual(scenario, t, phi, s):
     """Residual of the derivative identity for the birth trajectory.
 
     The s-derivative of the newborn flux of phi equals the newborn flux of
     the generator applied to phi.  The left side uses a centered difference
-    with span ``dstep`` (default one grid step); the identity requires a
-    balanced profile and the residual decays first order in the grid.
+    over one grid step on each side; the identity requires a balanced
+    profile and the residual decays first order in the grid.
     """
     g = scenario.age_grid
     h = g.step
-    if dstep is None:
-        dstep = h
-    k = g.index_of(dstep, "derivative step")
-    if k < 1:
-        raise ValidationError("derivative step must be at least one grid step")
     m = g.index_of(s, "elapsed span")
-    if m - k < 0:
+    if m < 1:
         raise ValidationError("derivative stencil leaves the trajectory")
-    traj = solve_birth(scenario, t, phi, s + k * h)
-    lhs = (traj.values[m + k] - traj.values[m - k]) / (2 * k * h)
+    traj = solve_birth(scenario, t, phi, s + h)
+    lhs = (traj.values[m + 1] - traj.values[m - 1]) / (2 * h)
     gen_traj = solve_birth(scenario, t, apply_generator(scenario, t, phi), s)
     return spatial_norm(lhs - gen_traj.values[m], scenario.norm)

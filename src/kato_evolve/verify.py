@@ -101,6 +101,19 @@ def _failed(name, exc):
     return _result(name, False, float("-inf"), str(exc))
 
 
+def _converged(name, leg):
+    """The check from ``leg()``'s (passed, margin, detail), or a failed one.
+
+    Every leg that runs the doubling ladder or the Picard solve goes through
+    here, so a tolerance they cannot reach is reported, not raised.
+    """
+    try:
+        passed, margin, detail = leg()
+    except ConvergenceError as exc:
+        return _failed(name, exc)
+    return _result(name, passed, margin, detail)
+
+
 def _random_plan(scenario, rng, n_factors):
     g = scenario.age_grid
     steps = g.n_age
@@ -205,22 +218,18 @@ def run_verification(scenario, seed=0, tol=1e-3):
 
     t_hi = (3 * base // 4) * h
     t_mid = (base // 4) * h
-    try:
+
+    def ladder():
         moved = apply_evolution(scenario, t_hi, 0.0, phi, tol=tol)
         n_cap = allowed_partitions(scenario)[-1]
-        checks.append(
-            _result(
-                "evolution_ladder",
-                True,
-                float(n_cap - moved.n_used),
-                f"accepted n = {moved.n_used}, gap {moved.cauchy_gap:.3e}",
-            )
+        return (
+            True,
+            float(n_cap - moved.n_used),
+            f"accepted n = {moved.n_used}, gap {moved.cauchy_gap:.3e}",
         )
-    except Exception as exc:  # noqa: BLE001 - recorded, not raised
-        checks.append(_failed("evolution_ladder", exc))
-        moved = None
 
-    if moved is None:
+    checks.append(_converged("evolution_ladder", ladder))
+    if checks[-1].status == "fail":
         checks.append(_skip("cocycle_residual", "evolution ladder failed"))
         checks.append(_skip("evolution_bound_margin", "evolution ladder failed"))
     else:
@@ -228,63 +237,55 @@ def run_verification(scenario, seed=0, tol=1e-3):
         # counts compatible with the age lattice top out before rough
         # profiles push the pair gaps much below a few parts per thousand
         cocycle_tol = tol if scenario.operator.time_independent else max(tol, 5e-3)
-        try:
+
+        def cocycle():
             res = evolution_cocycle_residual(
                 scenario, 0.0, t_mid, t_hi, phi, tol=cocycle_tol
             )
-        except ConvergenceError as exc:
-            checks.append(_failed("cocycle_residual", exc))
-        else:
             bound = 3 * cocycle_tol * phi_norm
-            checks.append(
-                _result(
-                    "cocycle_residual",
-                    res <= bound,
-                    bound - res,
-                    f"splice at {t_mid:g} on [0, {t_hi:g}], residual {res:.3e} "
-                    f"at tol {cocycle_tol:g}",
-                )
+            return (
+                res <= bound,
+                bound - res,
+                f"splice at {t_mid:g} on [0, {t_hi:g}], residual {res:.3e} "
+                f"at tol {cocycle_tol:g}",
             )
-        try:
+
+        def bound_margin():
             margin = evolution_bound_margin(
                 scenario, t_hi, 0.0, phi, tol=tol, slack=SLACK
             )
-        except ConvergenceError as exc:
-            checks.append(_failed("evolution_bound_margin", exc))
-        else:
-            checks.append(
-                _result("evolution_bound_margin", margin >= 0, margin, "5% slack")
-            )
+            return margin >= 0, margin, "5% slack"
+
+        checks.append(_converged("cocycle_residual", cocycle))
+        checks.append(_converged("evolution_bound_margin", bound_margin))
 
     t_end = (base // 2) * h
-    if t_end <= 0:
-        checks.append(_skip("forced_bound_margin", "horizon too short"))
-    else:
+
+    def forced():
         forcing = forcing_preset(scenario, "constant", amplitude=0.5)
         trajectory = solve_forced(scenario, phi, forcing, t_end, tol=tol)
         margin = forced_bound_margin(scenario, trajectory, phi, forcing, slack=SLACK)
-        checks.append(
-            _result(
-                "forced_bound_margin",
-                margin >= 0,
-                margin,
-                f"constant forcing to t = {t_end:g}, 5% slack",
-            )
-        )
+        return margin >= 0, margin, f"constant forcing to t = {t_end:g}, 5% slack"
+
+    if t_end <= 0:
+        checks.append(_skip("forced_bound_margin", "horizon too short"))
+    else:
+        checks.append(_converged("forced_bound_margin", forced))
 
     t_oracle = min(g.a_max, scenario.time_grid.horizon)
-    direct = solve_direct(scenario, phi, t_oracle).final
-    evolved = apply_evolution(scenario, t_oracle, 0.0, phi, tol=tol).value
-    gap = state_norm(scenario, direct.with_values(direct.values - evolved.values))
-    bound = 0.5 * phi_norm
-    checks.append(
-        _result(
-            "oracle_agreement",
+
+    def oracle():
+        direct = solve_direct(scenario, phi, t_oracle).final
+        evolved = apply_evolution(scenario, t_oracle, 0.0, phi, tol=tol).value
+        gap = state_norm(scenario, direct.with_values(direct.values - evolved.values))
+        bound = 0.5 * phi_norm
+        return (
             gap <= bound,
             bound - gap,
             f"first-order stepper vs evolution at t = {t_oracle:g}: gap {gap:.3e}",
         )
-    )
+
+    checks.append(_converged("oracle_agreement", oracle))
 
     bump = make_profile(scenario, "age_bump")
     front = solve_direct(scenario, bump, t_oracle).final
@@ -307,16 +308,17 @@ def run_verification(scenario, seed=0, tol=1e-3):
         )
     else:
         problem = norm_coupled_diffusion(scenario, 0.05, 1.0)
-        trajectory, _, report = solve_quasilinear(scenario, problem, tol=tol)
-        res = fixed_point_residual(scenario, problem, trajectory, tol=tol)
-        checks.append(
-            _result(
-                "quasilinear_fixed_point",
+
+        def picard():
+            trajectory, _, report = solve_quasilinear(scenario, problem, tol=tol)
+            res = fixed_point_residual(scenario, problem, trajectory, tol=tol)
+            return (
                 res <= 2 * tol,
                 2 * tol - res,
                 f"residual {res:.3e} after {len(report.sup_gaps)} iterations",
             )
-        )
+
+        checks.append(_converged("quasilinear_fixed_point", picard))
         lip = check_lipschitz(problem, scenario, samples=6, seed=seed)
         checks.append(
             _result(

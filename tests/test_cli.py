@@ -97,6 +97,23 @@ def test_rejected_scenario_key(capsys, tmp_path):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"integrator_order": 1}, "integrator_order"),
+        ({"tolerances": {"cocycle": 1e-6}}, "cocycle"),
+    ],
+)
+def test_removed_scenario_settings_fail_cleanly(capsys, tmp_path, override, key):
+    path = tmp_path / "removed.json"
+    path.write_text(json.dumps({"preset": "SCAL0", **override}))
+    code, out, err = run(capsys, "semigroup", "--scenario", str(path), "--s", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert key in err
+
+
 def test_non_finite_scenario_field_fails_cleanly(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(
@@ -187,6 +204,19 @@ def test_unconverged_cocycle_leg_is_a_failed_check(capsys, monkeypatch):
         "name": "cocycle_residual", "status": "fail", "margin": None,
         "detail": "no Cauchy acceptance (forced)"}
     assert payload["failures"] == 1
+
+
+def test_verify_reports_every_unconverged_leg(capsys):
+    code, out, err = run(capsys, "verify", "--preset", "DIFF1", "--tol", "1e-9")
+    assert code == 2
+    assert err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for name in ("evolution_ladder", "forced_bound_margin", "oracle_agreement"):
+        assert checks[name]["status"] == "fail"
+        assert checks[name]["detail"].startswith("no Cauchy acceptance at tol=1e-09")
+    for name in ("cocycle_residual", "evolution_bound_margin"):
+        assert checks[name]["status"] == "skip"
+    assert json.loads(out)["failures"] == 3
 
 
 def test_out_directory_gets_report_and_csv(capsys, tmp_path):

@@ -51,6 +51,18 @@ def test_build_scenario_rejects_unknown_keys():
         ke.build_scenario({"preset": "SCAL0", "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"integrator_order": 2}, "integrator_order"),
+        ({"tolerances": {"cocycle": 1e-6}}, "cocycle"),
+    ],
+)
+def test_build_scenario_rejects_removed_settings(override, key):
+    with pytest.raises(ke.ConfigError, match=key):
+        ke.preset_scenario("SCAL0", **override)
+
+
 def test_build_scenario_missing_field():
     with pytest.raises(ke.ConfigError, match="missing scenario field"):
         ke.build_scenario({"dim": 1})
@@ -106,7 +118,7 @@ def test_graph_norms_decompose_the_reference_operator_once(diff1, monkeypatch):
     sc = dataclasses.replace(diff1, caches={})
     sc.birth_norm(1)
     ke.default_constants(sc)
-    ke.estimate_bounds(sc._with_operator(sc.operator), samples=4)
+    ke.estimate_bounds(sc._with_operator(sc.operator))
     assert len(calls) == 1
 
 

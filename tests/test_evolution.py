@@ -15,10 +15,9 @@ def tilted(diff1):
 
 
 def test_allowed_partitions(scal0, diff1):
-    assert ke.allowed_partitions(diff1, None) == [1, 2, 4, 8, 16, 32, 64]
-    assert ke.allowed_partitions(diff1, 8) == [1, 2, 4, 8]
+    assert ke.allowed_partitions(diff1) == [1, 2, 4, 8, 16, 32, 64]
     # 1000 lattice steps admit only three doublings
-    assert ke.allowed_partitions(scal0, None) == [1, 2, 4, 8]
+    assert ke.allowed_partitions(scal0) == [1, 2, 4, 8]
 
 
 def test_approximant_plan_by_hand(diff1):
@@ -126,11 +125,6 @@ def test_unreachable_tolerance_raises_with_history(diff1):
         ke.apply_evolution(diff1, 1.0, 0.0, rough, tol=1e-6)
     assert exc.value.history
     assert "partition counts" in str(exc.value)
-
-
-def test_n_max_caps_the_ladder(diff1, tilted):
-    result = ke.apply_evolution(diff1, 0.875, 0.0, tilted, tol=1e-4, n_max=8)
-    assert result.n_used <= 8
 
 
 def test_convergence_study_shape_and_rates(diff1, tilted):

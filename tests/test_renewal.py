@@ -98,9 +98,8 @@ def test_trajectory_cache_extends(scal0):
     assert np.allclose(full.values[: short.n_steps + 1], short.values, atol=1e-12)
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_branch_values_match_the_chain_past_the_age_grid(diff1, order):
-    sc = dataclasses.replace(diff1, integrator_order=order, caches={})
+def test_branch_values_match_the_chain_past_the_age_grid(diff1):
+    sc = dataclasses.replace(diff1, caches={})
     phi = ke.make_profile(sc, "smooth_random", seed=4)
     n, h = sc.age_grid.n_age, sc.age_grid.step
     chain = ke.chain_matrices(sc, 0.3)
@@ -111,14 +110,12 @@ def test_branch_values_match_the_chain_past_the_age_grid(diff1, order):
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_extended_trajectory_equals_a_cold_march(diff1, order):
-    base = dataclasses.replace(diff1, integrator_order=order)
-    phi = ke.make_profile(base, "smooth_random", seed=6)
-    n, h = base.age_grid.n_age, base.age_grid.step
-    cold = ke.solve_birth(dataclasses.replace(base, caches={}), 0.3, phi, (2 * n + 5) * h)
+def test_extended_trajectory_equals_a_cold_march(diff1):
+    phi = ke.make_profile(diff1, "smooth_random", seed=6)
+    n, h = diff1.age_grid.n_age, diff1.age_grid.step
+    cold = ke.solve_birth(dataclasses.replace(diff1, caches={}), 0.3, phi, (2 * n + 5) * h)
     for first in (n // 3, n + 3):
-        sc = dataclasses.replace(base, caches={})
+        sc = dataclasses.replace(diff1, caches={})
         ke.solve_birth(sc, 0.3, phi, first * h)
         warm = ke.solve_birth(sc, 0.3, phi, (2 * n + 5) * h)
         assert np.array_equal(warm.values, cold.values)

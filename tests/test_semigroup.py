@@ -127,8 +127,8 @@ def test_compose_matrix_matches_propagate(diff1):
 
 
 def test_estimate_bounds_returns_finite_constants(diff1):
-    consts = ke.estimate_bounds(diff1, samples=8, seed=0)
+    consts = ke.estimate_bounds(diff1)
     assert consts.m0 >= 1.0
     assert consts.m1 >= 1.0
-    for rate in (consts.omega_frozen, consts.omega0, consts.omega1):
+    for rate in (consts.omega0, consts.omega1):
         assert np.isfinite(rate)

@@ -82,3 +82,18 @@ def test_unconverged_evolution_legs_are_reported_not_raised(qdiff, monkeypatch):
         assert by_name[name].margin == float("-inf")
         assert by_name[name].detail == "no Cauchy acceptance (forced)"
     assert report.failures == 2
+
+
+def test_unconverged_picard_leg_is_reported_not_raised(qdiff, monkeypatch):
+    def unconverged(*args, **kwargs):
+        raise ke.ConvergenceError("Picard iteration did not contract (forced)")
+
+    monkeypatch.setattr(verify, "solve_quasilinear", unconverged)
+    report = ke.run_verification(qdiff, seed=0)
+    assert [c.name for c in report.checks] == BATTERY_NAMES
+    by_name = {c.name: c for c in report.checks}
+    picard = by_name["quasilinear_fixed_point"]
+    assert (picard.status, picard.margin) == ("fail", float("-inf"))
+    assert picard.detail == "Picard iteration did not contract (forced)"
+    assert by_name["lipschitz_spot_check"].status == "pass"
+    assert report.failures == 1
