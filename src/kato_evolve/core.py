@@ -12,8 +12,8 @@ used for graph norms, and tolerance settings.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -272,9 +272,9 @@ class Tolerances:
     composition: float = 1e-8
 
     def __post_init__(self):
-        for name in ("volterra", "membership", "semigroup", "composition"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"tolerance {name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValidationError(f"tolerance {f.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -339,11 +339,7 @@ def graph_pair_norm(v, ref, tag):
 
 
 class _Caches(dict):
-    """The cache dict of one scenario, which ``owner`` references weakly."""
-
-    def __init__(self, entries, owner):
-        super().__init__(entries)
-        self.owner = weakref.ref(owner)
+    """The cache dict that one scenario owns."""
 
 
 @dataclass(frozen=True)
@@ -359,9 +355,9 @@ class Scenario:
     constants; the oracle caches nothing.  It is an internal detail and does
     not participate in equality.  All public operations on a scenario are
     pure functions of the visible fields.  A scenario starts from the
-    entries of a passed ``caches`` dict only when no other live scenario
-    owns it, so ``dataclasses.replace`` never shares a cache whose keys do
-    not name the fields it replaced.
+    entries of a passed plain ``caches`` dict, but empty when handed another
+    scenario's cache, so ``dataclasses.replace`` never shares a cache whose
+    keys do not name the fields it replaced.
     """
 
     age_grid: AgeGrid
@@ -391,10 +387,8 @@ class Scenario:
             raise ValidationError("s_max_factor must be positive")
         # Time steps must land on age nodes so transport stays node-aligned.
         self.age_grid.index_of(self.time_grid.step, "time grid step")
-        caches = self.caches
-        if isinstance(caches, _Caches) and caches.owner() is not None:
-            caches = {}
-        object.__setattr__(self, "caches", _Caches(caches, self))
+        caches = {} if isinstance(self.caches, _Caches) else self.caches
+        object.__setattr__(self, "caches", _Caches(caches))
         bmats = self.birth_matrices()
         if np.any(bmats < 0):
             raise ValidationError("birth kernel must be entrywise nonnegative on the grid")
@@ -684,70 +678,81 @@ def _hat_birth(d, beta, a_max):
     return BirthKernel(d, evaluate, label=f"hat(beta={beta})")
 
 
-_OPERATOR_KINDS = ("zero", "scalar_mortality", "modulated_laplacian")
-_BIRTH_KINDS = ("zero", "constant", "hat")
-
-
-def _build_operator(d, a_max, spec):
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "zero":
-        extra = spec
-        op = _zero_operator(d)
-    elif kind == "scalar_mortality":
-        mu = spec.pop("mu", 1.0)
-        extra = spec
-        op = _mortality_operator(d, mu)
-    elif kind == "modulated_laplacian":
-        kappa0 = spec.pop("kappa0", 0.1)
-        amp = spec.pop("time_amplitude", 0.0)
-        slope = spec.pop("age_slope", 0.0)
-        extra = spec
-        op = _modulated_laplacian_operator(d, a_max, kappa0, amp, slope)
-    else:
-        raise ConfigError(
-            f"operator.kind must be one of {_OPERATOR_KINDS}, got {kind!r}"
-        )
-    if extra:
-        raise ConfigError(f"unknown operator field(s): {sorted(extra)}")
-    return op
-
-
-def _build_birth(d, a_max, spec):
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "zero":
-        extra = spec
-        kernel = _constant_birth(d, 0.0)
-    elif kind == "constant":
-        beta = spec.pop("beta", 1.0)
-        extra = spec
-        kernel = _constant_birth(d, beta)
-    elif kind == "hat":
-        beta = spec.pop("beta", 1.0)
-        extra = spec
-        kernel = _hat_birth(d, beta, a_max)
-    else:
-        raise ConfigError(f"birth.kind must be one of {_BIRTH_KINDS}, got {kind!r}")
-    if extra:
-        raise ConfigError(f"unknown birth field(s): {sorted(extra)}")
-    return kernel
-
-
-_SCENARIO_KEYS = {
-    "dim",
-    "a_max",
-    "n_age",
-    "T",
-    "n_time",
-    "operator",
-    "birth",
-    "norm",
-    "tolerances",
-    "s_max_factor",
-    "reference_operator",
-    "label",
+# kind -> (builder(d, a_max, **params), {param: default})
+_OPERATOR_KINDS = {
+    "zero": (lambda d, a_max: _zero_operator(d), {}),
+    "scalar_mortality": (lambda d, a_max, mu: _mortality_operator(d, mu), {"mu": 1.0}),
+    "modulated_laplacian": (
+        _modulated_laplacian_operator,
+        {"kappa0": 0.1, "time_amplitude": 0.0, "age_slope": 0.0},
+    ),
 }
+_BIRTH_KINDS = {
+    "zero": (lambda d, a_max: _constant_birth(d, 0.0), {}),
+    "constant": (lambda d, a_max, beta: _constant_birth(d, beta), {"beta": 1.0}),
+    "hat": (lambda d, a_max, beta: _hat_birth(d, beta, a_max), {"beta": 1.0}),
+}
+# name -> builder(d)
+_REFERENCE_KINDS = {
+    "identity": np.eye,
+    "laplacian": neumann_laplacian,
+    "zero": lambda d: np.zeros((d, d)),
+}
+_REQUIRED_KEYS = ("dim", "a_max", "n_age", "T", "n_time", "operator", "birth")
+_SCENARIO_KEYS = (*_REQUIRED_KEYS, "norm", "tolerances", "s_max_factor",
+                  "reference_operator", "label")
+
+
+def _mapping(spec, name):
+    """spec itself when it is a mapping, else ConfigError naming the section."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a mapping, got {spec!r}")
+    return spec
+
+
+def _reject_unknown(spec, allowed, what):
+    """ConfigError listing the fields of spec outside ``allowed``, if any."""
+    unknown = set(spec) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} field(s): {sorted(unknown)}")
+
+
+def _lookup(table, key, name):
+    """The table entry that the scenario value ``key`` names, else ConfigError."""
+    if not isinstance(key, str) or key not in table:
+        raise ConfigError(f"{name} must be one of {tuple(table)}, got {key!r}")
+    return table[key]
+
+
+def _number(value, name, kind=float):
+    """A scenario value as a finite float, or as a count when ``kind`` is int.
+
+    Raises ConfigError naming the dotted field when the value is not a real
+    number, is not finite, or is not a whole number >= 1 where ``kind`` is
+    int (dim, n_age and n_time are counts).
+    """
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"scenario field {name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"scenario field {name} must be finite, got {value!r}")
+    if kind is int and not (number.is_integer() and number >= 1):
+        raise ConfigError(f"scenario field {name} must be a whole number >= 1, got {value!r}")
+    return kind(value)
+
+
+def _build_kind(name, kinds, d, a_max, spec):
+    """The ``name`` section built by the table entry of its kind.
+
+    A parameter the section leaves out takes the entry's default.
+    """
+    builder, defaults = _lookup(kinds, _mapping(spec, name).get("kind"), f"{name}.kind")
+    _reject_unknown(spec, ("kind", *defaults), name)
+    params = {k: _number(spec.get(k, v), f"{name}.{k}") for k, v in defaults.items()}
+    return builder(d, a_max, **params)
 
 
 def build_scenario(config):
@@ -755,177 +760,123 @@ def build_scenario(config):
 
     Either ``{"preset": name, ...overrides}`` or a full custom description
     with the keys dim, a_max, n_age, T, n_time, operator, birth and optional
-    norm, tolerances, s_max_factor, reference_operator, label.  Unknown keys
-    are rejected.
+    norm, tolerances, s_max_factor, reference_operator, label.  Every
+    number must be a finite real number, and dim, n_age and n_time whole
+    numbers >= 1.  An unknown key, kind or preset, a missing key, a section
+    that is not a mapping or a number that fails those checks raises
+    ConfigError naming the field.
     """
-    if not isinstance(config, dict):
-        raise ConfigError("scenario configuration must be a mapping")
-    config = dict(config)
+    config = dict(_mapping(config, "scenario configuration"))
     preset = config.pop("preset", None)
     if preset is not None:
-        base = _preset_config(preset)
-        base.update(config)
-        config = base
-
-    unknown = set(config) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scenario field(s): {sorted(unknown)}")
-    for key in ("dim", "a_max", "n_age", "T", "n_time", "operator", "birth"):
+        config = {**_lookup(_PRESETS, preset, "preset"), **config}
+    _reject_unknown(config, _SCENARIO_KEYS, "scenario")
+    for key in _REQUIRED_KEYS:
         if key not in config:
             raise ConfigError(f"missing scenario field: {key}")
 
-    try:
-        d = int(config["dim"])
-        a_max = float(config["a_max"])
-        n_age = int(config["n_age"])
-        horizon = float(config["T"])
-        n_time = int(config["n_time"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"numeric scenario field failed to parse: {exc}") from exc
-    if not math.isfinite(a_max):
-        raise ConfigError("a_max must be finite (infinite maximal age is unsupported)")
-    for name, value in _float_leaves(config):
-        if not math.isfinite(value):
-            raise ConfigError(f"scenario field {name} must be finite, got {value!r}")
-
-    age_grid = AgeGrid(a_max, n_age)
-    time_grid = TimeGrid(horizon, n_time)
-    operator = _build_operator(d, a_max, config["operator"])
-    birth = _build_birth(d, a_max, config["birth"])
-
-    ref_spec = config.get("reference_operator", "identity")
-    if isinstance(ref_spec, str):
-        if ref_spec == "identity":
-            ref = np.eye(d)
-        elif ref_spec == "laplacian":
-            ref = neumann_laplacian(d)
-        elif ref_spec == "zero":
-            ref = np.zeros((d, d))
-        else:
-            raise ConfigError(f"unknown reference_operator {ref_spec!r}")
+    d, n_age, n_time = (_number(config[k], k, int) for k in ("dim", "n_age", "n_time"))
+    a_max, horizon = (_number(config[k], k) for k in ("a_max", "T"))
+    ref = config.get("reference_operator", "identity")
+    if isinstance(ref, str):
+        ref = _lookup(_REFERENCE_KINDS, ref, "reference_operator")(d)
     else:
-        ref = np.asarray(ref_spec, dtype=float)
-
-    tol_spec = dict(config.get("tolerances", {}))
-    unknown_tol = set(tol_spec) - {
-        "volterra",
-        "membership",
-        "semigroup",
-        "composition",
-    }
-    if unknown_tol:
-        raise ConfigError(f"unknown tolerance field(s): {sorted(unknown_tol)}")
-    tolerances = Tolerances(**tol_spec)
+        ref = np.array(ref, dtype=object)
+        for index, entry in np.ndenumerate(ref):
+            _number(entry, ".".join(map(str, ("reference_operator", *index))))
+        ref = ref.astype(float)
+    tol_spec = _mapping(config.get("tolerances", {}), "tolerances")
+    _reject_unknown(tol_spec, [f.name for f in fields(Tolerances)], "tolerance")
 
     return Scenario(
-        age_grid=age_grid,
-        time_grid=time_grid,
+        age_grid=AgeGrid(a_max, n_age),
+        time_grid=TimeGrid(horizon, n_time),
         dim=d,
-        operator=operator,
-        birth=birth,
+        operator=_build_kind("operator", _OPERATOR_KINDS, d, a_max, config["operator"]),
+        birth=_build_kind("birth", _BIRTH_KINDS, d, a_max, config["birth"]),
         reference_operator=ref,
         norm=config.get("norm", "two"),
-        tolerances=tolerances,
-        s_max_factor=float(config.get("s_max_factor", 10.0)),
-        label=str(config.get("label", preset or "custom")),
+        tolerances=Tolerances(
+            **{k: _number(v, f"tolerances.{k}") for k, v in tol_spec.items()}
+        ),
+        s_max_factor=_number(config.get("s_max_factor", 10.0), "s_max_factor"),
+        label=str(config.get("label", "custom")),
     )
-
-
-def _float_leaves(obj, prefix=""):
-    """(dotted name, value) for every float inside a nested configuration."""
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from _float_leaves(v, f"{prefix}{k}.")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        for i, v in enumerate(obj):
-            yield from _float_leaves(v, f"{prefix}{i}.")
-    elif isinstance(obj, float):
-        yield prefix.rstrip("."), obj
 
 
 # -- presets ---------------------------------------------------------------
 
-
-def _preset_config(name):
-    """Plain-dict configuration for each named preset.
-
-    SCAL0: scalar, no aging mechanism beyond transport, constant birth rate 2
-           on unit maximal age.  The renewal root of 2(1 - e^-r)/r = 1 makes
-           it the growth benchmark.
-    DIFF1: 32 spatial nodes, diffusion with time and age modulated
-           conductivity, identity-proportional birth.
-    MORT1: scalar constant mortality balanced so the exponential age profile
-           is stationary.
-    QDIFF: the linear base for the norm-coupled diffusion fixed point
-           problems (time-independent conductivity).
-    """
-    if name == "SCAL0":
-        return {
-            "label": "SCAL0",
-            "dim": 1,
-            "a_max": 1.0,
-            "n_age": 100,
-            "T": 10.0,
-            "n_time": 1000,
-            "operator": {"kind": "zero"},
-            "birth": {"kind": "constant", "beta": 2.0},
-            "norm": "one",
-            "reference_operator": "identity",
-        }
-    if name == "DIFF1":
-        return {
-            "label": "DIFF1",
-            "dim": 32,
-            "a_max": 1.0,
-            "n_age": 64,
-            "T": 1.0,
-            "n_time": 64,
-            "operator": {
-                "kind": "modulated_laplacian",
-                "kappa0": 0.1,
-                "time_amplitude": 0.5,
-                "age_slope": 1.0,
-            },
-            "birth": {"kind": "constant", "beta": 0.5},
-            "norm": "two",
-            "reference_operator": "laplacian",
-        }
-    if name == "MORT1":
-        return {
-            "label": "MORT1",
-            "dim": 1,
-            "a_max": 1.0,
-            "n_age": 100,
-            "T": 2.0,
-            "n_time": 200,
-            "operator": {"kind": "scalar_mortality", "mu": 1.0},
-            # beta / (1 - e^-1): newborn flux balances mortality decay
-            "birth": {"kind": "constant", "beta": 1.0 / (1.0 - math.exp(-1.0))},
-            "norm": "one",
-            "reference_operator": "identity",
-        }
-    if name == "QDIFF":
-        return {
-            "label": "QDIFF",
-            "dim": 16,
-            "a_max": 1.0,
-            "n_age": 32,
-            "T": 0.5,
-            "n_time": 16,
-            "operator": {
-                "kind": "modulated_laplacian",
-                "kappa0": 0.1,
-                "time_amplitude": 0.0,
-                "age_slope": 1.0,
-            },
-            "birth": {"kind": "constant", "beta": 0.2},
-            "norm": "two",
-            "reference_operator": "laplacian",
-        }
-    raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESET_NAMES)}")
-
-
-PRESET_NAMES = ("SCAL0", "DIFF1", "MORT1", "QDIFF")
+# SCAL0: scalar, no aging mechanism beyond transport, constant birth rate 2
+#        on unit maximal age.  The renewal root of 2(1 - e^-r)/r = 1 makes
+#        it the growth benchmark.
+# DIFF1: 32 spatial nodes, diffusion with time and age modulated
+#        conductivity, identity-proportional birth.
+# MORT1: scalar constant mortality balanced so the exponential age profile
+#        is stationary.
+# QDIFF: the linear base for the norm-coupled diffusion fixed point
+#        problems (time-independent conductivity).
+_PRESETS = {
+    "SCAL0": {
+        "label": "SCAL0",
+        "dim": 1,
+        "a_max": 1.0,
+        "n_age": 100,
+        "T": 10.0,
+        "n_time": 1000,
+        "operator": {"kind": "zero"},
+        "birth": {"kind": "constant", "beta": 2.0},
+        "norm": "one",
+        "reference_operator": "identity",
+    },
+    "DIFF1": {
+        "label": "DIFF1",
+        "dim": 32,
+        "a_max": 1.0,
+        "n_age": 64,
+        "T": 1.0,
+        "n_time": 64,
+        "operator": {
+            "kind": "modulated_laplacian",
+            "kappa0": 0.1,
+            "time_amplitude": 0.5,
+            "age_slope": 1.0,
+        },
+        "birth": {"kind": "constant", "beta": 0.5},
+        "norm": "two",
+        "reference_operator": "laplacian",
+    },
+    "MORT1": {
+        "label": "MORT1",
+        "dim": 1,
+        "a_max": 1.0,
+        "n_age": 100,
+        "T": 2.0,
+        "n_time": 200,
+        "operator": {"kind": "scalar_mortality", "mu": 1.0},
+        # beta / (1 - e^-1): newborn flux balances mortality decay
+        "birth": {"kind": "constant", "beta": 1.0 / (1.0 - math.exp(-1.0))},
+        "norm": "one",
+        "reference_operator": "identity",
+    },
+    "QDIFF": {
+        "label": "QDIFF",
+        "dim": 16,
+        "a_max": 1.0,
+        "n_age": 32,
+        "T": 0.5,
+        "n_time": 16,
+        "operator": {
+            "kind": "modulated_laplacian",
+            "kappa0": 0.1,
+            "time_amplitude": 0.0,
+            "age_slope": 1.0,
+        },
+        "birth": {"kind": "constant", "beta": 0.2},
+        "norm": "two",
+        "reference_operator": "laplacian",
+    },
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_scenario(name, **overrides):

@@ -18,6 +18,7 @@ situations apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -147,6 +148,11 @@ def _floor(scenario, phi_norm, a, b):
     return FLOOR_FACTOR * max(phi_norm, state_norm(scenario, a), state_norm(scenario, b))
 
 
+def _levels(scenario, t, s, phi):
+    """level(n): the n-cell approximant of phi from s to t, built once per n."""
+    return cache(lambda n: apply_approximant(scenario, n, t, s, phi))
+
+
 def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0):
     """Evolve phi from time s to t, doubling the partition until Cauchy.
 
@@ -199,12 +205,7 @@ def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0)
         return EvolutionResult(apply_approximant(scenario, ns[0], t, s, phi),
                                ns[0], 0.0)
 
-    evaluated = {}
-
-    def level(n):
-        if n not in evaluated:
-            evaluated[n] = apply_approximant(scenario, n, t, s, phi)
-        return evaluated[n]
+    level = _levels(scenario, t, s, phi)
 
     def pair_gap(i):
         a, b = level(ns[i]), level(ns[i + 1])
@@ -336,11 +337,11 @@ def convergence_study(scenario, t, s, phi, n_values=None):
         n_values = allowed_partitions(scenario)
         n_values = n_values[:-1] if len(n_values) > 1 else n_values
     phi_norm = state_norm(scenario, phi)
+    level = _levels(scenario, t, s, phi)
     rows = []
     prev_signal = None
     for n in n_values:
-        coarse = apply_approximant(scenario, n, t, s, phi)
-        fine = apply_approximant(scenario, 2 * n, t, s, phi)
+        coarse, fine = level(n), level(2 * n)
         gap = _gap(scenario, coarse, fine)
         signal = gap if gap > _floor(scenario, phi_norm, coarse, fine) else None
         if prev_signal is not None and signal is not None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    GridAlignmentError,
     ValidationError,
     graph_pair_norm,
     graph_state_norm,

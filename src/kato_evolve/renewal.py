@@ -32,7 +32,6 @@ from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
 from .core import (
-    StateVector,
     ValidationError,
     apply_generator,
     birth_quadrature,

@@ -29,7 +29,6 @@ from .core import (
     apply_generator,
     birth_quadrature,
     check_birth_balance,
-    spatial_norm,
     state_norm,
 )
 from .renewal import _boundary_solve, branch_values

@@ -102,6 +102,16 @@ def test_rejected_scenario_key(capsys, tmp_path):
     [
         ({"integrator_order": 1}, "integrator_order"),
         ({"tolerances": {"cocycle": 1e-6}}, "cocycle"),
+        ({"operator": "zero"}, "operator"),
+        ({"birth": None}, "birth"),
+        ({"tolerances": "abc"}, "tolerances"),
+        ({"operator": {"kind": "scalar_mortality", "mu": "x"}}, "operator.mu"),
+        ({"tolerances": {"volterra": "1e-3"}}, "tolerances.volterra"),
+        ({"reference_operator": [["a"]]}, "reference_operator"),
+        ({"s_max_factor": "x"}, "s_max_factor"),
+        ({"dim": 1.5}, "dim"),
+        ({"dim": -1}, "dim"),
+        ({"operator": {"kind": [1]}}, "operator.kind"),
     ],
 )
 def test_removed_scenario_settings_fail_cleanly(capsys, tmp_path, override, key):

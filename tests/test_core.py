@@ -69,16 +69,27 @@ def test_build_scenario_missing_field():
 
 
 @pytest.mark.parametrize(
-    "override",
+    "override, field, problem",
     [
-        {"s_max_factor": float("inf")},
-        {"tolerances": {"volterra": float("nan")}},
-        {"operator": {"kind": "scalar_mortality", "mu": float("-inf")}},
-        {"reference_operator": [[float("nan")]]},
+        ({"s_max_factor": float("inf")}, "s_max_factor", "finite"),
+        ({"tolerances": {"volterra": float("nan")}}, "tolerances.volterra", "finite"),
+        ({"operator": {"kind": "scalar_mortality", "mu": float("-inf")}}, "operator.mu",
+         "finite"),
+        ({"reference_operator": [[float("nan")]]}, "reference_operator.0.0", "finite"),
+        ({"operator": "zero"}, "operator", "mapping"),
+        ({"birth": None}, "birth", "mapping"),
+        ({"tolerances": "abc"}, "tolerances", "mapping"),
+        ({"operator": {"kind": "scalar_mortality", "mu": "x"}}, "operator.mu", "number"),
+        ({"tolerances": {"volterra": "1e-3"}}, "tolerances.volterra", "number"),
+        ({"reference_operator": [["a"]]}, "reference_operator.0.0", "number"),
+        ({"s_max_factor": "x"}, "s_max_factor", "number"),
+        ({"dim": 1.5}, "dim", "whole"),
+        ({"dim": -1}, "dim", "whole"),
+        ({"operator": {"kind": [1]}}, "operator.kind", "one"),
     ],
 )
-def test_build_scenario_rejects_non_finite_fields(override):
-    with pytest.raises(ke.ConfigError, match="must be finite"):
+def test_build_scenario_rejects_malformed_fields(override, field, problem):
+    with pytest.raises(ke.ConfigError, match=f"{field} must be .*{problem}"):
         ke.preset_scenario("SCAL0", **override)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kato_evolve as ke
+from kato_evolve import evolution
 from kato_evolve.evolution import FLOOR_FACTOR
 
 
@@ -127,10 +128,15 @@ def test_unreachable_tolerance_raises_with_history(diff1):
     assert "partition counts" in str(exc.value)
 
 
-def test_convergence_study_shape_and_rates(diff1, tilted):
+def test_convergence_study_shape_and_rates(diff1, tilted, monkeypatch):
+    built = []
+    approximant = evolution.apply_approximant
+    monkeypatch.setattr(evolution, "apply_approximant",
+                        lambda sc, n, *args: built.append(n) or approximant(sc, n, *args))
     rows = ke.convergence_study(diff1, 0.875, 0.0, tilted)
     ns = [n for n, _, _ in rows]
     assert ns == [1, 2, 4, 8, 16, 32]
+    assert built == [1, 2, 4, 8, 16, 32, 64]  # each ladder level built once
     first_rate = rows[0][2]
     assert first_rate is None or np.isnan(first_rate)
     # the first gap is rounding noise, so the row after it reports no rate
