@@ -349,7 +349,7 @@ class Scenario:
     ``caches`` holds the per-frozen-time stacks of exponential midpoint step
     maps, keyed ``("frozen", t)`` (the renewal march shifts profiles through
     them one cell at a time, so no chain is cached),
-    birth trajectories, the boundary LU factorization, the sampled birth
+    birth trajectories, the boundary correction matrix, the sampled birth
     kernel (one array of rows in matrix-vector layout, which
     ``birth_matrices`` views) with its norms and the default stability
     constants; the oracle caches nothing.  It is an internal detail and does
@@ -567,6 +567,11 @@ def birth_quadrature(scenario, values):
     by node.  ``values`` must have shape (n_age+1, d).
     """
     _check_profile_shape(scenario, values)
+    return _birth_quadrature(scenario, values)
+
+
+def _birth_quadrature(scenario, values):
+    """birth_quadrature without the shape check, for a profile the caller owns."""
     g = scenario.age_grid
     weighted = g.weights[:, None] * values
     return g.step * (scenario._birth_rows() @ weighted.ravel())
@@ -761,10 +766,10 @@ def build_scenario(config):
     Either ``{"preset": name, ...overrides}`` or a full custom description
     with the keys dim, a_max, n_age, T, n_time, operator, birth and optional
     norm, tolerances, s_max_factor, reference_operator, label.  Every
-    number must be a finite real number, and dim, n_age and n_time whole
-    numbers >= 1.  An unknown key, kind or preset, a missing key, a section
-    that is not a mapping or a number that fails those checks raises
-    ConfigError naming the field.
+    number must be a finite real number, dim, n_age and n_time whole
+    numbers >= 1, and label a string.  An unknown key, kind or preset, a
+    missing key, a section that is not a mapping or a value that fails
+    those checks raises ConfigError naming the field.
     """
     config = dict(_mapping(config, "scenario configuration"))
     preset = config.pop("preset", None)
@@ -787,6 +792,9 @@ def build_scenario(config):
         ref = ref.astype(float)
     tol_spec = _mapping(config.get("tolerances", {}), "tolerances")
     _reject_unknown(tol_spec, [f.name for f in fields(Tolerances)], "tolerance")
+    label = config.get("label", "custom")
+    if not isinstance(label, str):
+        raise ConfigError(f"scenario field label must be a string, got {label!r}")
 
     return Scenario(
         age_grid=AgeGrid(a_max, n_age),
@@ -800,7 +808,7 @@ def build_scenario(config):
             **{k: _number(v, f"tolerances.{k}") for k, v in tol_spec.items()}
         ),
         s_max_factor=_number(config.get("s_max_factor", 10.0), "s_max_factor"),
-        label=str(config.get("label", "custom")),
+        label=label,
     )
 
 

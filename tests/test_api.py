@@ -1,7 +1,14 @@
-"""The public API documents itself, and the sources import nothing they do not use."""
+"""The public API documents itself, and the sources import only what they use.
+
+The package's runtime needs numpy and the standard library alone; scipy
+serves the tests as a reference and is never loaded by the package.
+"""
 
 import ast
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import kato_evolve as ke
@@ -24,12 +31,17 @@ def test_every_public_class_and_function_has_a_docstring():
     assert [n for n in names if not (_own_docstring(getattr(ke, n)) or "").strip()] == []
 
 
+def _src_trees():
+    """(file name, syntax tree) of every module of the package."""
+    for path in sorted(Path(ke.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_src_imports_are_used():
     unused = []
-    for path in sorted(Path(ke.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
+    for name, tree in _src_trees():
+        if name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = [
             (alias.asname or alias.name).split(".")[0]
             for node in ast.walk(tree)
@@ -38,5 +50,34 @@ def test_src_imports_are_used():
             for alias in node.names
         ]
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+        unused += [f"{name}: {alias}" for alias in imported if alias not in used]
     assert unused == []
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    allowed = {"numpy", "kato_evolve", *sys.stdlib_module_names}
+    foreign = []
+    for name, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:  # relative imports stay inside the package
+                continue
+            foreign += [f"{name}: {m}" for m in modules if m.split(".")[0] not in allowed]
+    assert foreign == []
+
+
+def test_cli_run_loads_no_scipy():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import kato_evolve\n"
+        "from kato_evolve import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['verify', '--preset', 'DIFF1'])\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert json.loads(proc.stdout) == [0, []]

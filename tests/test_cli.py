@@ -112,6 +112,7 @@ def test_rejected_scenario_key(capsys, tmp_path):
         ({"dim": 1.5}, "dim"),
         ({"dim": -1}, "dim"),
         ({"operator": {"kind": [1]}}, "operator.kind"),
+        ({"label": {"a": 1}}, "label"),
     ],
 )
 def test_removed_scenario_settings_fail_cleanly(capsys, tmp_path, override, key):

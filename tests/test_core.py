@@ -86,6 +86,7 @@ def test_build_scenario_missing_field():
         ({"dim": 1.5}, "dim", "whole"),
         ({"dim": -1}, "dim", "whole"),
         ({"operator": {"kind": [1]}}, "operator.kind", "one"),
+        ({"label": {"a": 1}}, "label", "string"),
     ],
 )
 def test_build_scenario_rejects_malformed_fields(override, field, problem):
