@@ -70,13 +70,9 @@ from .products import (
 )
 from .propagator import (
     chain_matrices,
-    cocycle_residual,
-    compose_matrix,
     default_constants,
     estimate_bounds,
     growth_bound,
-    propagate,
-    step_matrix,
 )
 from .quasilinear import (
     IteratesReport,

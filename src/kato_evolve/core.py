@@ -11,6 +11,7 @@ used for graph norms, and tolerance settings.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
@@ -339,25 +340,112 @@ def graph_pair_norm(v, ref, tag):
 
 
 class _Caches(dict):
-    """The cache dict that one scenario owns."""
+    """The per-operator store that one scenario owns."""
+
+
+@dataclass(frozen=True, eq=False)
+class _KernelRecord:
+    """What the birth kernel, the age grid and the reference operator fix.
+
+    Each value is built on first use and kept: the sampled kernel as rows,
+    its norms, the reference directions and the boundary correction K.
+    None depends on the operator field, so ``Scenario._with_operator``
+    shares the record by reference.
+    """
+
+    birth: BirthKernel
+    age_grid: AgeGrid
+    dim: int
+    norm: str
+    reference_operator: np.ndarray
+
+    @cached_property
+    def rows(self):
+        """The sampled kernel as read-only (d, (n_age+1) d) rows.
+
+        Entry [j, i d + k] is b(a_i)[j, k], so the birth integral is one
+        matrix-vector product with the weighted profile raveled by node.
+        """
+        mats = self.birth.sample(self.age_grid.nodes)
+        rows = np.ascontiguousarray(mats.transpose(1, 0, 2).reshape(self.dim, -1))
+        rows.flags.writeable = False
+        return rows
+
+    @property
+    def matrices(self):
+        """b(a_i) for every age node, a read-only (n_age+1, d, d) view of the rows."""
+        d = self.dim
+        return self.rows.reshape(d, -1, d).transpose(1, 0, 2)
+
+    @cached_property
+    def base_norm(self):
+        """``Scenario.birth_norm(0)``; each distinct sampled matrix is normed once."""
+        return float(np.max(_matrix_norms(np.unique(self.matrices, axis=0), self.norm)))
+
+    @cached_property
+    def graph_norm(self):
+        """``Scenario.birth_norm(1)``; each distinct sampled matrix is normed once."""
+        return float(max(graph_to_graph_norm(self, m) for m in np.unique(self.matrices, axis=0)))
+
+    @cached_property
+    def reference_directions(self):
+        """Graph-norm candidates from the reference operator.
+
+        The four lowest and four highest eigenvectors when the reference
+        operator is symmetric, none otherwise.
+        """
+        ref = self.reference_operator
+        if np.allclose(ref, ref.T):
+            try:
+                _, vecs = np.linalg.eigh(ref)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                vecs.flags.writeable = False
+                k = min(4, self.dim)
+                return (*vecs.T[:k], *vecs.T[-k:])
+        return ()
+
+    @cached_property
+    def boundary_correction(self):
+        """K = M^{-1} - I for the boundary matrix M = I - (h/2) b(0), read-only.
+
+        K solves M K = I - M, so it is formed without the cancellation of
+        inverting M and subtracting I (Higham 2002, ch. 12).  M is singular
+        when it is not finite or its smallest singular value is below
+        eps * max(1, max|M|).
+        """
+        eye = np.eye(self.dim)
+        mat = eye - 0.5 * self.age_grid.step * self.matrices[0]
+        tiny = np.finfo(float).eps * max(1.0, float(np.max(np.abs(mat))))
+        if not (np.all(np.isfinite(mat))
+                and np.linalg.svd(mat, compute_uv=False)[-1] >= tiny):
+            raise ValidationError(
+                "boundary system is singular: step * b(0) / 2 has eigenvalue 1; "
+                "refine the age grid or rescale the birth kernel"
+            )
+        correction = np.linalg.solve(mat, eye - mat)
+        correction.flags.writeable = False
+        return correction
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Immutable bundle of grids, operators, and tolerances.
 
-    ``caches`` holds the per-frozen-time stacks of exponential midpoint step
-    maps, keyed ``("frozen", t)`` (the renewal march shifts profiles through
-    them one cell at a time, so no chain is cached),
-    birth trajectories, the boundary correction matrix, the sampled birth
-    kernel (one array of rows in matrix-vector layout, which
-    ``birth_matrices`` views) with its norms and the default stability
-    constants; the oracle caches nothing.  It is an internal detail and does
-    not participate in equality.  All public operations on a scenario are
-    pure functions of the visible fields.  A scenario starts from the
-    entries of a passed plain ``caches`` dict, but empty when handed another
-    scenario's cache, so ``dataclasses.replace`` never shares a cache whose
-    keys do not name the fields it replaced.
+    ``caches`` stores what depends on the operator field: per frozen time,
+    one record of that time's step maps and birth trajectories, and the
+    default stability constants (the propagator module owns the store; the
+    oracle caches nothing).  What the birth kernel, the grid and the
+    reference operator fix (the sampled kernel, its norms, the reference
+    directions and the boundary correction) is kept apart in a kernel
+    record, which a scenario under another operator field shares.  Both
+    are built on first use and are no part of equality; all public
+    operations are pure functions of the visible fields.  A scenario
+    starts from the entries of a passed plain ``caches`` dict, but empty
+    when handed another scenario's store, and with a kernel record of its
+    own, so ``dataclasses.replace`` never reads a value built from the
+    fields it replaced.
     """
 
     age_grid: AgeGrid
@@ -389,84 +477,29 @@ class Scenario:
         self.age_grid.index_of(self.time_grid.step, "time grid step")
         caches = {} if isinstance(self.caches, _Caches) else self.caches
         object.__setattr__(self, "caches", _Caches(caches))
-        bmats = self.birth_matrices()
-        if np.any(bmats < 0):
+        object.__setattr__(self, "_kernel", _KernelRecord(
+            self.birth, self.age_grid, self.dim, self.norm, self.reference_operator))
+        if np.any(self.birth_matrices() < 0):
             raise ValidationError("birth kernel must be entrywise nonnegative on the grid")
 
-    # -- sampled kernels ---------------------------------------------------
-
-    def _birth_rows(self):
-        """The sampled kernel as read-only (d, (n_age+1) d) rows; cached.
-
-        Entry [j, i d + k] is b(a_i)[j, k], so the birth integral is one
-        matrix-vector product with the weighted profile raveled by node.
-        """
-        key = "birth_matrices"
-        if key not in self.caches:
-            mats = self.birth.sample(self.age_grid.nodes)
-            rows = np.ascontiguousarray(mats.transpose(1, 0, 2).reshape(self.dim, -1))
-            rows.flags.writeable = False
-            self.caches[key] = rows
-        return self.caches[key]
-
     def birth_matrices(self):
-        """b(a_i) for every age node, shape (n_age+1, d, d).
-
-        A read-only view over the cached birth rows, so the scenario holds
-        one copy of the sampled kernel.
-        """
-        d = self.dim
-        return self._birth_rows().reshape(d, -1, d).transpose(1, 0, 2)
+        """b(a_i) for every age node, a read-only (n_age+1, d, d) view of the rows."""
+        return self._kernel.matrices
 
     def _with_operator(self, operator):
-        """This scenario under another operator field, with fresh caches.
-
-        The birth samples, birth norms and reference directions already
-        cached are carried over: they do not depend on the operator.
-        """
-        kept = ("birth_matrices", ("birth_norm", 0), ("birth_norm", 1),
-                "reference_directions")
-        caches = {k: self.caches[k] for k in kept if k in self.caches}
-        return replace(self, operator=operator, caches=caches)
+        """This scenario under another operator field: an empty store, the same kernel record."""
+        swapped = copy.copy(self)
+        object.__setattr__(swapped, "operator", operator)
+        object.__setattr__(swapped, "caches", _Caches())
+        return swapped
 
     def birth_norm(self, ell):
-        """Max over age nodes of the induced norm of b(a), base or graph.
-
-        Each distinct sampled matrix is normed once.
-        """
-        key = ("birth_norm", ell)
-        if key not in self.caches:
-            mats = np.unique(self.birth_matrices(), axis=0)
-            if ell == 0:
-                val = np.max(_matrix_norms(mats, self.norm))
-            elif ell == 1:
-                val = max(graph_to_graph_norm(self, m) for m in mats)
-            else:
-                raise ValidationError("ell must be 0 or 1")
-            self.caches[key] = float(val)
-        return self.caches[key]
-
-    def _reference_directions(self):
-        """Graph-norm candidates from the reference operator; cached.
-
-        The four lowest and four highest eigenvectors when the reference
-        operator is symmetric, none otherwise.
-        """
-        key = "reference_directions"
-        if key not in self.caches:
-            ref = self.reference_operator
-            dirs = ()
-            if np.allclose(ref, ref.T):
-                try:
-                    _, vecs = np.linalg.eigh(ref)
-                except np.linalg.LinAlgError:
-                    pass
-                else:
-                    vecs.flags.writeable = False
-                    k = min(4, self.dim)
-                    dirs = (*vecs.T[:k], *vecs.T[-k:])
-            self.caches[key] = dirs
-        return self.caches[key]
+        """Max over age nodes of the induced norm of b(a), base (0) or graph (1)."""
+        if ell == 0:
+            return self._kernel.base_norm
+        if ell == 1:
+            return self._kernel.graph_norm
+        raise ValidationError("ell must be 0 or 1")
 
     @property
     def s_max(self):
@@ -476,17 +509,18 @@ class Scenario:
         return StateVector(self.age_grid, np.zeros((self.age_grid.n_age + 1, self.dim)))
 
 
-def graph_to_graph_norm(scenario, mat):
+def graph_to_graph_norm(kernel, mat):
     """Sampled induced norm of mat between graph-normed spaces.
 
     Estimates sup (|Cv| + |ref C v|) / (|v| + |ref v|) over a deterministic
     candidate set: the constant vector, basis vectors, top singular
-    directions of C, and the scenario's reference directions.  This is a
+    directions of C, and the reference directions of ``kernel``, a
+    scenario's kernel record, which also gives ref and the norm.  This is a
     sampled quantity; for the matrix families shipped here the candidates
     contain the extremal directions.
     """
-    ref = scenario.reference_operator
-    tag = scenario.norm
+    ref = kernel.reference_operator
+    tag = kernel.norm
     d = mat.shape[0]
     cands = [np.ones(d)]
     cands.extend(np.eye(d))
@@ -495,7 +529,7 @@ def graph_to_graph_norm(scenario, mat):
         cands.extend(vt[: min(4, d)])
     except np.linalg.LinAlgError:
         pass
-    cands.extend(scenario._reference_directions())
+    cands.extend(kernel.reference_directions)
     best = 0.0
     for v in cands:
         denom = spatial_norm(v, tag) + spatial_norm(ref @ v, tag)
@@ -574,7 +608,7 @@ def _birth_quadrature(scenario, values):
     """birth_quadrature without the shape check, for a profile the caller owns."""
     g = scenario.age_grid
     weighted = g.weights[:, None] * values
-    return g.step * (scenario._birth_rows() @ weighted.ravel())
+    return g.step * (scenario._kernel.rows @ weighted.ravel())
 
 
 def check_birth_balance(scenario, phi):

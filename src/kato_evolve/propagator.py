@@ -8,36 +8,35 @@ construction (the same matrices are applied in the same order).
 
 Step maps follow the exponential midpoint rule: the matrix exponential of
 the midpoint-frozen matrix over each cell (locally second order), so each
-map is an exact frozen-generator semigroup over its cell.  Each frozen time
-owns one scenario cache entry: the step maps of every cell as one stack of
-shape (n_age, d, d), built by one batched Taylor scaling-and-squaring kernel
-that needs matrix products only (``np.exp`` for d = 1).  The public helpers
-below are views over that stack; the node chain U_t(a_i, 0) is built only on
-request and never cached.
+map is an exact frozen-generator semigroup over its cell.
+
+This module owns the scenario's per-operator store (``scenario.caches``).
+It holds one frozen-time record per frozen time t, which owns two things:
+the step maps of every cell at t as one stack of shape (n_age, d, d), and
+the birth trajectories that the renewal module marches at t.  The stack is
+built by one batched Taylor scaling-and-squaring kernel that needs matrix
+products only (``np.exp`` for d = 1).  The store also keeps the default
+stability constants.  The node chain U_t(a_i, 0) is built only on request
+and never cached.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    GridAlignmentError,
     StabilityConstants,
     ValidationError,
     graph_to_graph_norm,
     matrix_norm,
-    spatial_norm,
 )
 
 __all__ = [
-    "step_matrix",
     "chain_matrices",
-    "propagate",
-    "propagate_indices",
-    "compose_matrix",
-    "cocycle_residual",
+    "default_constants",
     "estimate_bounds",
     "growth_bound",
 ]
@@ -124,23 +123,36 @@ def _step_stack(scenario, t, j_from, j_to):
     return steps
 
 
-def _frozen_maps(scenario, t):
-    """Step-map stack (n_age, d, d) at frozen time t, memoized per time."""
-    key = ("frozen", t)
-    steps = scenario.caches.get(key)
-    if steps is None:
+@dataclass(eq=False)
+class _FrozenTime:
+    """What the frozen generator A(t) fixes at one time t.
+
+    ``steps`` is the read-only (n_age, d, d) stack of the step maps of every
+    cell.  ``trajectories`` holds (profile bytes, BirthTrajectory) pairs,
+    one per profile marched from at t.
+    """
+
+    steps: np.ndarray
+    trajectories: list = field(default_factory=list)
+
+    def trajectory(self, profile):
+        """The trajectory kept for ``profile`` (its bytes), or None."""
+        return next((traj for key, traj in self.trajectories if key == profile), None)
+
+    def keep(self, profile, traj):
+        """Keep ``traj`` for ``profile``, in place of any shorter one."""
+        self.trajectories[:] = [pair for pair in self.trajectories if pair[0] != profile]
+        self.trajectories.append((profile, traj))
+
+
+def _frozen(scenario, t):
+    """The frozen-time record at t, its step maps built on first use."""
+    frozen = scenario.caches.get(t)
+    if frozen is None:
         steps = _step_stack(scenario, t, 0, scenario.age_grid.n_age)
         steps.flags.writeable = False
-        scenario.caches[key] = steps
-    return steps
-
-
-def _check_cells(scenario, j_from, j_to):
-    if j_from > j_to:
-        raise ValidationError(f"start index {j_from} exceeds end index {j_to}")
-    n = scenario.age_grid.n_age
-    if j_from < j_to and (j_from < 0 or j_to > n):
-        raise ValidationError(f"cell range [{j_from}, {j_to}) outside [0, {n})")
+        frozen = scenario.caches[t] = _FrozenTime(steps)
+    return frozen
 
 
 def _compose(steps, dim):
@@ -151,17 +163,9 @@ def _compose(steps, dim):
     return mat
 
 
-def step_matrix(scenario, t, cell):
-    """One-cell step map over [a_cell, a_cell + h] at frozen time t."""
-    n = scenario.age_grid.n_age
-    if not 0 <= cell < n:
-        raise ValidationError(f"cell index {cell} outside [0, {n})")
-    return _frozen_maps(scenario, t)[cell]
-
-
 def chain_matrices(scenario, t):
     """Read-only stack of U_t(a_i, 0) per node, (n_age + 1, d, d), built per call."""
-    steps = _frozen_maps(scenario, t)
+    steps = _frozen(scenario, t).steps
     chain = np.empty((steps.shape[0] + 1, scenario.dim, scenario.dim))
     chain[0] = np.eye(scenario.dim)
     for j, step in enumerate(steps):
@@ -172,41 +176,17 @@ def chain_matrices(scenario, t):
 
 def propagate_indices(scenario, t, j_from, j_to, v0):
     """Apply the step maps for cells j_from .. j_to-1 to a spatial vector."""
-    _check_cells(scenario, j_from, j_to)
+    if j_from > j_to:
+        raise ValidationError(f"start index {j_from} exceeds end index {j_to}")
+    n = scenario.age_grid.n_age
+    if j_from < j_to and (j_from < 0 or j_to > n):
+        raise ValidationError(f"cell range [{j_from}, {j_to}) outside [0, {n})")
     v = np.array(v0, dtype=float)
     if j_from == j_to:
         return v
-    for step in _frozen_maps(scenario, t)[j_from:j_to]:
+    for step in _frozen(scenario, t).steps[j_from:j_to]:
         v = step @ v
     return v
-
-
-def propagate(scenario, t, sigma, a, v0):
-    """Evaluate U_t(a, sigma) v0 for node-aligned ages sigma <= a."""
-    g = scenario.age_grid
-    j_from = g.index_of(sigma, "propagation start age")
-    j_to = g.index_of(a, "propagation end age")
-    if j_from > g.n_age or j_to > g.n_age:
-        raise GridAlignmentError("propagation ages must lie inside [0, a_max]")
-    return propagate_indices(scenario, t, j_from, j_to, v0)
-
-
-def compose_matrix(scenario, t, j_from, j_to):
-    """U_t(a_{j_to}, a_{j_from}) materialized as a d x d matrix."""
-    _check_cells(scenario, j_from, j_to)
-    if j_from == j_to:
-        return np.eye(scenario.dim)
-    return _compose(_frozen_maps(scenario, t)[j_from:j_to], scenario.dim)
-
-
-def cocycle_residual(scenario, t, sigma, r, a, v0):
-    """Norm gap between U_t(a, sigma) v0 and U_t(a, r) U_t(r, sigma) v0.
-
-    Zero up to rounding by construction; exercised as a regression check.
-    """
-    direct = propagate(scenario, t, sigma, a, v0)
-    via = propagate(scenario, t, r, a, propagate(scenario, t, sigma, r, v0))
-    return spatial_norm(direct - via, scenario.norm)
 
 
 def _fit_exponential_bound(samples):
@@ -252,12 +232,13 @@ def estimate_bounds(scenario):
         j_from = int(rng.integers(0, j_to))
         return j_from, j_to
 
+    steps = _frozen(scenario, 0.0).steps
     frozen = [(1.0, 0.0)]  # U(a, a) = identity
     base_prods = [(1.0, 0.0)]
     graph_prods = [(1.0, 0.0)]
     for _ in range(samples):
         j_from, j_to = sample_pair()
-        mat = compose_matrix(scenario, 0.0, j_from, j_to)
+        mat = _compose(steps[j_from:j_to], scenario.dim)
         span = (j_to - j_from) * h
         frozen.append((matrix_norm(mat, scenario.norm), span))
 
@@ -269,11 +250,11 @@ def estimate_bounds(scenario):
         span = 0.0
         for tj in times:
             j_from, j_to = sample_pair()
-            steps = _step_stack(scenario, float(tj), j_from, j_to)
-            mat = _compose(steps, scenario.dim) @ mat
+            cells = _step_stack(scenario, float(tj), j_from, j_to)
+            mat = _compose(cells, scenario.dim) @ mat
             span += (j_to - j_from) * h
         base_prods.append((matrix_norm(mat, scenario.norm), span))
-        graph_prods.append((graph_to_graph_norm(scenario, mat), span))
+        graph_prods.append((graph_to_graph_norm(scenario._kernel, mat), span))
 
     m0, omega0 = _fit_exponential_bound(frozen + base_prods)
     m1, omega1 = _fit_exponential_bound(graph_prods)
@@ -286,7 +267,7 @@ def estimate_bounds(scenario):
 
 
 def default_constants(scenario):
-    """Scenario-level constants, estimated once and cached."""
+    """Scenario-level constants, estimated once and kept in the scenario's store."""
     key = "default_constants"
     if key not in scenario.caches:
         scenario.caches[key] = estimate_bounds(scenario)

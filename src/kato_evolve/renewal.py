@@ -14,12 +14,14 @@ the discrete birth trajectory is EXACTLY the birth integral of the discrete
 evolved profile, up to the per-step d x d solve with matrix
 M = I - (h/2) b(0) for the unknown B(s_k) at the a = 0 endpoint.  The solve
 takes the near-identity correction form x = rhs + K rhs, where K = M^{-1} - I
-is computed once per scenario from M K = I - M (Higham 2002, ch. 12): as
+comes once per scenario from its kernel record (Higham 2002, ch. 12): as
 accurate as an LU solve, with numpy alone, where a plain inverse M^{-1} rhs
-is not.  One shift loop, ``_march``, does every step: it replays fluxes
-already known (a warm restart, the evolved profile) and solves for the
-rest; no chain is formed.  The march also evolves product plans, each
-factor restarting it from the current profile, with no replay.
+is not.  One shift loop, ``_march``, does every step: it reads the frozen
+time's step maps and K once, replays fluxes already known (a warm restart,
+the evolved profile) and solves for the rest; no chain is formed.  The
+march also evolves product plans, each factor restarting it from the
+current profile, with no replay.  Trajectories are kept in the frozen-time
+record of their time (see the propagator module).
 
 The march is first order at the branch seam for incompatible data and second
 order for balanced profiles; both refine under grid halving.
@@ -38,7 +40,7 @@ from .core import (
     birth_quadrature,
     spatial_norm,
 )
-from .propagator import _frozen_maps
+from .propagator import _frozen
 
 __all__ = [
     "BirthTrajectory",
@@ -65,31 +67,13 @@ class BirthTrajectory:
 def _boundary_solve(scenario, rhs):
     """Solve M x = rhs, M = I - (h/2) b(0), as x = rhs + K rhs.
 
-    K = M^{-1} - I solves M K = I - M, so it is formed without the
-    cancellation of inverting M and subtracting I; it is computed once and
-    cached read-only.  K is small when (h/2) b(0) is, so the rounding of K
-    and of K rhs is small against rhs: x stays within one ulp of an LU
-    solve, and only the final addition rounds at the size of x.  A plain
-    inverse M^{-1} rhs rounds the whole of M^{-1} instead, and SCAL0's birth
-    identity residual grows from 7e-15 to 1e-10 with it.  M is singular when
-    it is not finite or its smallest singular value is below
-    eps * max(1, max|M|).
+    K = M^{-1} - I comes from the kernel record.  K is small when (h/2) b(0)
+    is, so x stays within one ulp of an LU solve: only the final addition
+    rounds at the size of x.  A plain inverse M^{-1} rhs rounds the whole of
+    M^{-1} instead, and SCAL0's birth identity residual grows from 7e-15 to
+    1e-10 with it.
     """
-    correction = scenario.caches.get("boundary_correction")
-    if correction is None:
-        h = scenario.age_grid.step
-        mat = np.eye(scenario.dim) - 0.5 * h * scenario.birth_matrices()[0]
-        tiny = np.finfo(float).eps * max(1.0, float(np.max(np.abs(mat))))
-        if not (np.all(np.isfinite(mat))
-                and np.linalg.svd(mat, compute_uv=False)[-1] >= tiny):
-            raise ValidationError(
-                "boundary system is singular: step * b(0) / 2 has eigenvalue 1; "
-                "refine the age grid or rescale the birth kernel"
-            )
-        correction = np.linalg.solve(mat, np.eye(scenario.dim) - mat)
-        correction.flags.writeable = False
-        scenario.caches["boundary_correction"] = correction
-    return rhs + correction @ rhs
+    return rhs + scenario._kernel.boundary_correction @ rhs
 
 
 def _shift(steps, u):
@@ -102,14 +86,17 @@ def _march(scenario, t, u, fluxes, known=0):
 
     Each step shifts u one age cell through the step maps and refills u[0]
     with the newborn flux: the first ``known`` steps replay ``fluxes`` as
-    given, the rest solve the boundary system and store the flux there.
+    given, the rest solve the boundary system as ``_boundary_solve`` does and
+    store the flux there.
     """
-    steps = _frozen_maps(scenario, t)
+    steps = _frozen(scenario, t).steps
+    correction = scenario._kernel.boundary_correction if known < len(fluxes) else None
     for k in range(len(fluxes)):
         _shift(steps, u)
         if k >= known:
             u[0] = 0.0  # slot of the implicit unknown
-            fluxes[k] = _boundary_solve(scenario, _birth_quadrature(scenario, u))
+            rhs = _birth_quadrature(scenario, u)
+            fluxes[k] = rhs + correction @ rhs
         u[0] = fluxes[k]
 
 
@@ -149,9 +136,9 @@ def _march_plan(scenario, schedule, phi_values):
 def solve_birth(scenario, t, phi, s_max):
     """Newborn flux trajectory for initial profile phi at frozen time t.
 
-    Trajectories are cached per (frozen time, profile) and extended in place
-    when a longer horizon is requested later.  ``s_max`` must be node
-    aligned and below the scenario's configured trajectory cap.
+    Trajectories are kept per profile in the frozen-time record at t and
+    extended in place when a longer horizon is requested later.  ``s_max``
+    must be node aligned and below the scenario's configured trajectory cap.
     """
     g = scenario.age_grid
     if s_max < 0:
@@ -162,8 +149,9 @@ def solve_birth(scenario, t, phi, s_max):
             "(raise s_max_factor in the scenario)"
         )
     n_steps = g.index_of(s_max, "trajectory horizon")
-    key = ("birth", t, phi.values.tobytes())
-    cached = scenario.caches.get(key)
+    frozen = _frozen(scenario, t)
+    key = phi.values.tobytes()
+    cached = frozen.trajectory(key)
     if cached is not None and cached.n_steps >= n_steps:
         if cached.n_steps == n_steps:
             return cached
@@ -178,7 +166,7 @@ def solve_birth(scenario, t, phi, s_max):
     _profile_at(scenario, t, phi.values, values, known)
     values.flags.writeable = False
     traj = BirthTrajectory(t, g.step, values)
-    scenario.caches[key] = traj
+    frozen.keep(key, traj)
     return traj
 
 

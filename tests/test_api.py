@@ -81,3 +81,22 @@ def test_cli_run_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300, check=True)
     assert json.loads(proc.stdout) == [0, []]
+
+
+def test_scenario_store_has_one_owner():
+    # core guards the store on construction; the propagator module owns its
+    # keys (frozen times and the default constants); no other module may
+    # read or write it
+    touching = sorted({name for name, tree in _src_trees() for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and node.attr == "caches"})
+    assert touching == ["core.py", "propagator.py"]
+
+
+def test_propagator_all_names_the_package_exports():
+    from kato_evolve import propagator
+
+    init = ast.parse(Path(ke.__file__).read_text(encoding="utf-8"))
+    exported = [alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) and node.module == "propagator"
+                for alias in node.names]
+    assert sorted(propagator.__all__) == sorted(exported)

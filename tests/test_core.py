@@ -112,15 +112,30 @@ def test_state_vector_rejects_non_finite_values(scal0, bad):
 
 
 def test_replaced_scenario_does_not_read_its_source_cache(scal0, mort1):
-    ones = ke.make_profile(scal0, "ones")
-    ke.apply_semigroup(scal0, 0.0, 0.5, ones)
-    swapped = dataclasses.replace(scal0, operator=mort1.operator)
-    cold = dataclasses.replace(swapped, caches={})
-    assert np.array_equal(ke.apply_semigroup(swapped, 0.0, 0.5, ones).values,
-                          ke.apply_semigroup(cold, 0.0, 0.5, ones).values)
+    # a non-diagonal kernel, so that the norm and the reference operator
+    # change the birth norms
+    mix = np.random.default_rng(8).uniform(0.0, 1.0, (4, 4))
+    mixed = ke.BirthKernel(4, lambda ages: np.broadcast_to(mix, (len(ages), 4, 4)).copy())
+    small = ke.preset_scenario("DIFF1", dim=4)
+    cases = [(scal0, {"operator": mort1.operator}), (small, {"birth": mixed}),
+             (dataclasses.replace(small, birth=mixed), {"norm": "one"}),
+             (dataclasses.replace(small, birth=mixed), {"reference_operator": np.eye(4)})]
+    for source, change in cases:
+        phi = ke.make_profile(source, "tilted")
+
+        def observed(sc):
+            norms = [sc.birth_norm(0), sc.birth_norm(1)]
+            return norms, ke.apply_semigroup(sc, 0.0, 0.5, phi).values
+
+        warm_norms, warm_march = observed(source)
+        replaced = dataclasses.replace(source, **change)
+        norms, march = observed(replaced)
+        cold_norms, cold_march = observed(dataclasses.replace(replaced, caches={}))
+        assert norms == cold_norms and np.array_equal(march, cold_march)
+        assert norms != warm_norms or not np.array_equal(march, warm_march)
     carried = scal0._with_operator(mort1.operator)
-    assert "birth_matrices" in carried.caches
-    assert not [k for k in carried.caches if isinstance(k, tuple) and k[0] == "frozen"]
+    assert carried._kernel is scal0._kernel
+    assert not carried.caches  # no frozen-time record crosses an operator swap
 
 
 def test_graph_norms_decompose_the_reference_operator_once(diff1, monkeypatch):
@@ -433,7 +448,7 @@ def test_birth_norm_matches_nodewise_max(birth, monkeypatch):
     sc = ke.preset_scenario("DIFF1", birth=birth)
     mats = sc.birth_matrices()
     base = max(ke.matrix_norm(m, sc.norm) for m in mats)
-    graph = max(core.graph_to_graph_norm(sc, m) for m in mats)
+    graph = max(core.graph_to_graph_norm(sc._kernel, m) for m in mats)
     calls = []
     real = core.graph_to_graph_norm
     monkeypatch.setattr(core, "graph_to_graph_norm", lambda s, m: calls.append(1) or real(s, m))

@@ -8,6 +8,7 @@ import pytest
 import kato_evolve as ke
 from kato_evolve import evolution
 from kato_evolve.evolution import FLOOR_FACTOR
+from kato_evolve.propagator import _FrozenTime
 
 
 @pytest.fixture(scope="module")
@@ -159,10 +160,12 @@ def test_ladder_keeps_no_birth_trajectories_or_bound_constants(diff1, tilted):
     sc = dataclasses.replace(diff1, caches={})
     ke.apply_product_sequential(sc, ke.approximant_plan(sc, 4, 0.5, 0.0), tilted)
     ke.apply_evolution(sc, 0.5, 0.0, tilted, tol=1e-4)
-    assert not [k for k in sc.caches if isinstance(k, tuple) and k[0] == "birth"]
-    for key in ("default_constants", ("birth_norm", 0), ("birth_norm", 1),
-                "reference_directions"):
-        assert key not in sc.caches
+    # the store holds frozen-time records only, none with a trajectory, and
+    # no default constants
+    assert sc.caches
+    assert all(isinstance(v, _FrozenTime) and not v.trajectories for v in sc.caches.values())
+    # nor did the ladder build the birth norms or the reference directions
+    assert not {"base_norm", "graph_norm", "reference_directions"} & set(vars(sc._kernel))
 
 
 def test_eta_constant_positive_and_deterministic(diff1):

@@ -7,15 +7,22 @@ import pytest
 from scipy.linalg import expm
 
 import kato_evolve as ke
-from kato_evolve.propagator import _expm_stack, _step_stack, propagate_indices
+from kato_evolve.propagator import (
+    _expm_stack,
+    _frozen,
+    _FrozenTime,
+    _step_stack,
+    propagate_indices,
+)
 
 
 def fresh(scenario):
     return dataclasses.replace(scenario, caches={})
 
 
-def frozen_keys(scenario):
-    return [k for k in scenario.caches if isinstance(k, tuple) and k[0] == "frozen"]
+def frozen_times(scenario):
+    """The times of the frozen-time records in the scenario's store."""
+    return [t for t, v in scenario.caches.items() if isinstance(v, _FrozenTime)]
 
 
 def test_stacked_step_maps_match_per_cell_maps(diff1):
@@ -27,9 +34,10 @@ def test_stacked_step_maps_match_per_cell_maps(diff1):
     assert isinstance(chain, np.ndarray)
     assert chain.shape == (sc.age_grid.n_age + 1, sc.dim, sc.dim)
     assert np.array_equal(chain[0], eye)
+    steps = _frozen(sc, t).steps
     for j in range(sc.age_grid.n_age):
         expected = _expm_stack(h * sc.operator(t, (j + 0.5) * h)[None])[0]
-        step = ke.step_matrix(sc, t, j)
+        step = steps[j]
         assert np.array_equal(step, expected)
         assert np.array_equal(chain[j + 1], step @ chain[j])
 
@@ -105,29 +113,28 @@ def test_step_maps_are_read_only(diff1):
     with pytest.raises(ValueError):
         ke.chain_matrices(diff1, 0.0)[1, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        ke.step_matrix(diff1, 0.0, 0)[0, 0] = 1.0
+        _frozen(diff1, 0.0).steps[0, 0, 0] = 1.0
 
 
 def test_cell_ranges_are_validated(diff1):
     n = diff1.age_grid.n_age
     v = np.ones(diff1.dim)
     with pytest.raises(ke.ValidationError):
-        ke.step_matrix(diff1, 0.0, n)
+        propagate_indices(diff1, 0.0, n, n + 1, v)
     with pytest.raises(ke.ValidationError):
         propagate_indices(diff1, 0.0, 2, 1, v)
     with pytest.raises(ke.ValidationError):
-        ke.compose_matrix(diff1, 0.0, 0, n + 1)
+        propagate_indices(diff1, 0.0, 0, n + 1, v)
 
 
 def test_evolution_caches_one_stack_per_frozen_time(diff1):
     sc = fresh(diff1)
     ke.apply_evolution(sc, 0.5, 0.0, ke.make_profile(sc, "tilted"), tol=1e-4)
-    assert not [k for k in sc.caches if isinstance(k, tuple) and k[0] == "step"]
-    keys = frozen_keys(sc)
-    assert len(keys) == len({k[1] for k in keys}) > 1
+    times = frozen_times(sc)
+    assert len(times) == len(sc.caches) > 1
     n, d = sc.age_grid.n_age, sc.dim
-    for key in keys:
-        steps = sc.caches[key]
+    for t in times:
+        steps = sc.caches[t].steps
         assert isinstance(steps, np.ndarray)
         assert steps.shape == (n, d, d)
 
@@ -135,7 +142,7 @@ def test_evolution_caches_one_stack_per_frozen_time(diff1):
 def test_estimate_bounds_caches_only_its_own_frozen_time(diff1):
     sc = fresh(diff1)
     first = ke.estimate_bounds(sc)
-    assert frozen_keys(sc) == [("frozen", 0.0)]
+    assert frozen_times(sc) == [0.0]
     assert ke.estimate_bounds(fresh(diff1)) == first
 
 

@@ -230,7 +230,27 @@ def test_picard_steps_reuse_constants_and_birth_samples(qdiff, monkeypatch):
     assert len(report.sup_gaps) >= 2
     assert len(estimates) == 0
     assert births == [sc.age_grid.n_age + 1]  # sampled once, at construction
-    assert steps and all(s.caches["birth_matrices"] is sc.caches["birth_matrices"] for s in steps)
+    assert steps and all(s._kernel is sc._kernel for s in steps)
+
+
+def test_one_boundary_correction_serves_every_picard_step(qdiff, monkeypatch):
+    # K = M^{-1} - I depends on the birth kernel and the age grid only, so
+    # the solve and the residual check build it once, whatever the number
+    # of Picard steps; its one SVD is the only one without singular vectors
+    sc = dataclasses.replace(qdiff, caches={})
+    builds = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        builds.append(kwargs.get("compute_uv", True) is False)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    problem = ke.norm_coupled_diffusion(sc, EPS, RADIUS, center=structured_center(sc))
+    traj, _, report = ke.solve_quasilinear(sc, problem, tol=TOL)
+    ke.fixed_point_residual(sc, problem, traj, tol=TOL)
+    assert len(report.sup_gaps) >= 3
+    assert sum(builds) == 1
 
 
 def test_coupled_field_takes_one_state_per_sample(qdiff, monkeypatch):

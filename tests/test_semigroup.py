@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kato_evolve as ke
+from kato_evolve.propagator import propagate_indices
 
 
 def build_transport(birth_kind="zero", operator=None):
@@ -104,26 +105,30 @@ def test_admissibility_requires_balance(mort1):
 
 
 def test_propagator_closed_form_decay(mort1):
-    out = ke.propagate(mort1, 0.0, 0.2, 0.7, np.array([1.0]))
+    # cells 20 .. 69 carry ages 0.2 .. 0.7 at MORT1's step 0.01
+    out = propagate_indices(mort1, 0.0, 20, 70, np.array([1.0]))
     assert out[0] == pytest.approx(np.exp(-0.5), rel=1e-12)
 
 
 def test_propagator_cocycle_is_exact(mort1, diff1):
-    assert ke.cocycle_residual(mort1, 0.0, 0.1, 0.3, 0.6, np.array([1.0])) < 1e-14
-    v = np.linspace(0.2, 1.0, diff1.dim)
-    assert ke.cocycle_residual(diff1, 0.3, 0.125, 0.25, 0.5, v) < 1e-14
+    # U_t(a, r) U_t(r, sigma) = U_t(a, sigma) bit for bit: the same step
+    # maps are applied in the same order
+    for sc, t, (sigma, r, a) in ((mort1, 0.0, (10, 30, 60)), (diff1, 0.3, (8, 16, 32))):
+        v = np.linspace(0.2, 1.0, sc.dim)
+        via = propagate_indices(sc, t, r, a, propagate_indices(sc, t, sigma, r, v))
+        assert np.array_equal(propagate_indices(sc, t, sigma, a, v), via)
 
 
 def test_propagate_identity_at_equal_ages(diff1):
     v = np.linspace(0.2, 1.0, diff1.dim)
-    assert np.array_equal(ke.propagate(diff1, 0.3, 0.25, 0.25, v), v)
+    assert np.array_equal(propagate_indices(diff1, 0.3, 16, 16, v), v)
 
 
-def test_compose_matrix_matches_propagate(diff1):
+def test_chain_matrices_match_propagate_indices(diff1):
     v = np.linspace(0.2, 1.0, diff1.dim)
-    M = ke.compose_matrix(diff1, 0.3, 16, 32)
-    direct = ke.propagate(diff1, 0.3, 0.25, 0.5, v)
-    assert np.linalg.norm(M @ v - direct) < 1e-12
+    chain = ke.chain_matrices(diff1, 0.3)
+    for j in (1, 16, 32, diff1.age_grid.n_age):
+        assert np.linalg.norm(chain[j] @ v - propagate_indices(diff1, 0.3, 0, j, v)) < 1e-12
 
 
 def test_estimate_bounds_returns_finite_constants(diff1):
