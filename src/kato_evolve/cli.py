@@ -71,32 +71,36 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def common(p, tol_default):
+    def common(p, tol_default=None, profile=True):
+        """Scenario, seed and output flags; --tol only where the handler reads
+        it, --profile only where the handler evolves the profile."""
         group = p.add_mutually_exclusive_group()
         group.add_argument("--preset", choices=PRESET_NAMES, help="named scenario")
         group.add_argument("--scenario", metavar="FILE", help="scenario JSON file")
         p.add_argument("--seed", type=int, default=0, help="seed for random inputs")
-        p.add_argument("--tol", type=float, default=tol_default, help="tolerance")
+        if tol_default is not None:
+            p.add_argument("--tol", type=float, default=tol_default, help="tolerance")
         p.add_argument("--out", metavar="DIR", help="directory for report and CSVs")
-        p.add_argument(
-            "--profile",
-            choices=PROFILE_NAMES,
-            default="tilted",
-            help="initial age profile",
-        )
+        if profile:
+            p.add_argument(
+                "--profile",
+                choices=PROFILE_NAMES,
+                default="tilted",
+                help="initial age profile",
+            )
 
     p = sub.add_parser("semigroup", help="apply the frozen-time semigroup")
-    common(p, 1e-6)
+    common(p)
     p.add_argument("--t", type=float, default=0.0, help="frozen time")
     p.add_argument("--s", type=float, required=True, help="elapsed span (age aligned)")
 
     p = sub.add_parser("birth", help="newborn flux trajectory")
-    common(p, 1e-8)
+    common(p)
     p.add_argument("--t", type=float, default=0.0, help="frozen time")
     p.add_argument("--s-max", type=float, default=None, help="trajectory horizon")
 
     p = sub.add_parser("product", help="time-ordered semigroup product")
-    common(p, 1e-8)
+    common(p)
     p.add_argument(
         "--plan",
         required=True,
@@ -109,7 +113,7 @@ def _build_parser():
     p.add_argument("--s", type=float, default=0.0, help="start time")
 
     p = sub.add_parser("convergence-study", help="gap table of the doubling ladder")
-    common(p, 1e-6)
+    common(p)
     p.add_argument("--t", type=float, required=True, help="end time")
     p.add_argument("--s", type=float, default=0.0, help="start time")
 
@@ -126,7 +130,7 @@ def _build_parser():
     p.add_argument("--max-iter", type=int, default=25)
 
     p = sub.add_parser("oracle", help="direct characteristics stepper")
-    common(p, 1e-6)
+    common(p)
     p.add_argument("--t-end", type=float, required=True, help="final time")
 
     p = sub.add_parser("compare", help="oracle vs evolution error table")
@@ -135,7 +139,7 @@ def _build_parser():
     p.add_argument("--refinements", type=int, default=3)
 
     p = sub.add_parser("verify", help="deterministic invariant battery")
-    common(p, 1e-3)
+    common(p, 1e-3, profile=False)  # the battery draws its own profiles from --seed
 
     return parser
 
@@ -391,7 +395,7 @@ def main(argv=None):
             parser.print_usage(sys.stderr)
             return 1
         scenario = _load_scenario(args)
-        phi = make_profile(scenario, args.profile, seed=args.seed)
+        phi = make_profile(scenario, args.profile, seed=args.seed) if "profile" in args else None
         payload, files = _HANDLERS[args.command](args, scenario, phi)
     except _UsageError as exc:
         parser.print_usage(sys.stderr)

@@ -34,11 +34,11 @@ __all__ = [
     "Scenario",
     "spatial_norm",
     "matrix_norm",
-    "graph_pair_norm",
     "state_norm",
     "graph_state_norm",
     "lp_age_norm",
     "upwind_derivative",
+    "apply_generator",
     "birth_quadrature",
     "check_birth_balance",
     "neumann_laplacian",
@@ -230,6 +230,12 @@ class OperatorField:
     lipschitz_t: float | None = None
     label: str = "operator"
 
+    def __post_init__(self):
+        if self.lipschitz_t is not None and not (
+            np.isfinite(self.lipschitz_t) and self.lipschitz_t >= 0
+        ):
+            raise ValidationError("lipschitz_t must be a nonnegative real or None")
+
     def sample(self, t, ages):
         """The frozen field A(t, a) at every age in ``ages``, (len(ages), d, d)."""
         return _sample(lambda a: self.evaluate(t, a), ages, self.dim,
@@ -274,8 +280,9 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValidationError(f"tolerance {f.name} must be positive")
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValidationError(f"tolerance {f.name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -332,11 +339,6 @@ def _matrix_norms(mats, tag):
 def matrix_norm(mat, tag):
     """Induced matrix norm matching :func:`spatial_norm`."""
     return float(_matrix_norms(np.asarray(mat, dtype=float), tag))
-
-
-def graph_pair_norm(v, ref, tag):
-    """Graph norm |v| + |ref v| of a spatial vector against a reference matrix."""
-    return spatial_norm(v, tag) + spatial_norm(ref @ v, tag)
 
 
 class _Caches(dict):
@@ -470,9 +472,11 @@ class Scenario:
             raise ValidationError(
                 f"reference operator has shape {ref.shape}, expected {(self.dim, self.dim)}"
             )
+        if not np.isfinite(ref).all():
+            raise ValidationError("reference_operator must be finite")
         object.__setattr__(self, "reference_operator", _freeze(ref))
-        if self.s_max_factor <= 0:
-            raise ValidationError("s_max_factor must be positive")
+        if not (np.isfinite(self.s_max_factor) and self.s_max_factor > 0):
+            raise ValidationError("s_max_factor must be finite and positive")
         # Time steps must land on age nodes so transport stays node-aligned.
         self.age_grid.index_of(self.time_grid.step, "time grid step")
         caches = {} if isinstance(self.caches, _Caches) else self.caches
@@ -689,7 +693,7 @@ def _modulated_laplacian_operator(d, a_max, kappa0, time_amplitude, age_slope):
         kappa = k0 * (1.0 + amp * math.sin(2.0 * math.pi * t)) * (1.0 + slope * ages / a_max)
         return kappa[:, None, None] * lap
 
-    lip = k0 * abs(amp) * 2.0 * math.pi * (1.0 + abs(slope)) * float(np.linalg.norm(lap, 2))
+    lip = abs(k0) * abs(amp) * 2.0 * math.pi * (1.0 + abs(slope)) * float(np.linalg.norm(lap, 2))
     return OperatorField(
         d,
         evaluate,

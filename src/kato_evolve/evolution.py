@@ -112,20 +112,13 @@ def approximant_plan(scenario, n, t, s):
             f"need 0 <= s <= t <= horizon, got s={s!r}, t={t!r}"
         )
     h = g.step
-    if i_s == i_t:
-        return ProductPlan((min(i_s // cell, n - 1) * cell * h,), (0.0,))
     l = min(i_s // cell, n - 1)
-    k = min((i_t - 1) // cell, n - 1)  # cell containing (t - dt, t]
-    if l == k:
-        return ProductPlan((l * cell * h,), ((i_t - i_s) * h,))
-    times = [l * cell * h]
-    durations = [((l + 1) * cell - i_s) * h]
-    for j in range(l + 1, k):
-        times.append(j * cell * h)
-        durations.append(cell * h)
-    times.append(k * cell * h)
-    durations.append((i_t - k * cell) * h)
-    return ProductPlan(tuple(times), tuple(durations))
+    k = max(l, min((i_t - 1) // cell, n - 1))  # cell containing (t - dt, t]
+    cells = range(l, k + 1)
+    return ProductPlan(
+        tuple(j * cell * h for j in cells),
+        tuple((min((j + 1) * cell, i_t) - max(j * cell, i_s)) * h for j in cells),
+    )
 
 
 def apply_approximant(scenario, n, t, s, phi):
@@ -166,10 +159,11 @@ def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0)
     structurally zero, so the last distinct level is terminal and is
     accepted with a zero gap.  A gap at the rounding floor between genuinely
     distinct plans is probed one level further before being trusted: if the
-    probe gap also sits at the floor the coarse level is accepted and
-    reported (genuine convergence, as when the field variation does not
-    touch the profile), otherwise the first gap was coincidental (field
-    samples aliasing across coarse breakpoints) and the ladder continues.
+    probe gap also sits at the floor, or no pair is left to probe it, the
+    coarse level is accepted and reported (genuine convergence, as when the
+    field variation does not touch the profile), otherwise the first gap
+    was coincidental (field samples aliasing across coarse breakpoints) and
+    the ladder goes on with the probe as an ordinary pair.
     Raises a convergence error carrying the gap history when the distinct
     plans run out at the finest allowed level without meeting the
     tolerance.
@@ -187,14 +181,12 @@ def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0)
         raise ValidationError("tol must be positive")
     phi_norm = state_norm(scenario, phi)
     allowed = allowed_partitions(scenario)
-    ns = []
-    plans = []
+    ns, last = [], None
     for n in allowed:
         plan = approximant_plan(scenario, n, t, s)
-        if plans and plan == plans[-1]:
-            continue
-        ns.append(n)
-        plans.append(plan)
+        if plan != last:
+            ns.append(n)
+        last = plan
     if phi_norm == 0.0:
         return EvolutionResult(scenario.zero_state(), 1, 0.0)
     if scenario.operator.time_independent:
@@ -221,33 +213,24 @@ def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0)
 
     threshold = tol * phi_norm
     history = []
-    i = 0
     streak = 0
-    while i + 1 < len(ns):
+    probing = False  # the previous pair sat at the floor and this one probes it
+    for i in range(len(ns) - 1):
         gap, floor = pair_gap(i)
         history.append((ns[i], gap))
         if gap <= floor:
-            # the pair already agrees to rounding, nothing to extrapolate
-            streak = 0
-            if i + 2 >= len(ns):
-                return EvolutionResult(level(ns[i]), ns[i], gap, tuple(history))
-            probe_gap, probe_floor = pair_gap(i + 1)
-            history.append((ns[i + 1], probe_gap))
-            if probe_gap <= probe_floor:
-                return EvolutionResult(level(ns[i]), ns[i], gap, tuple(history))
-            if probe_gap <= threshold:
-                streak = 1
-                if streak > confirm:
-                    return accept(i + 1, probe_gap, history)
-            i += 2
+            # the pair already agrees to rounding, nothing to extrapolate: the
+            # coarse level of the first floor pair is trusted once its probe
+            # sits at the floor too, or when no probe is left
+            if probing or i + 2 == len(ns):
+                j = i - 1 if probing else i
+                return EvolutionResult(level(ns[j]), ns[j], history[j][1], tuple(history))
+            probing, streak = True, 0
             continue
-        if gap <= threshold:
-            streak += 1
-            if streak > confirm:
-                return accept(i, gap, history)
-        else:
-            streak = 0
-        i += 1
+        probing = False
+        streak = streak + 1 if gap <= threshold else 0
+        if streak > confirm:
+            return accept(i, gap, history)
     if ns[-1] < allowed[-1]:
         # every remaining level repeats the last distinct plan, so the next
         # pair gap is structurally zero and the value is terminal

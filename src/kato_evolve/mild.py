@@ -27,6 +27,15 @@ from .core import (
 from .evolution import apply_approximant, apply_evolution
 from .propagator import growth_bound
 
+__all__ = [
+    "FORCING_NAMES",
+    "ForcedTrajectory",
+    "duhamel_residual",
+    "forced_bound_margin",
+    "forcing_preset",
+    "solve_forced",
+]
+
 FORCING_NAMES = ("constant", "pulse", "sinusoid")
 
 

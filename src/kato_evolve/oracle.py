@@ -27,6 +27,14 @@ from .core import (
 )
 from .evolution import apply_evolution
 
+__all__ = [
+    "CompareRow",
+    "OracleTrajectory",
+    "compare",
+    "solve_direct",
+]
+
+
 @dataclass(frozen=True)
 class OracleTrajectory:
     """States of the direct solver at multiples of the age step."""

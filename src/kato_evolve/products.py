@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     ValidationError,
-    graph_pair_norm,
     graph_state_norm,
     lp_age_norm,
     spatial_norm,
@@ -224,11 +223,9 @@ def birth_chain_margin(scenario, plan, phi, constants, ell, slack=0.0):
     for s in s_values:
         idx = g.index_of(s, "trajectory span")
         value = traj.values[idx]
-        vnorm = (
-            spatial_norm(value, scenario.norm)
-            if ell == 0
-            else graph_pair_norm(value, ref, scenario.norm)
-        )
+        vnorm = spatial_norm(value, scenario.norm)
+        if ell == 1:  # the graph norm |v| + |ref v|
+            vnorm += spatial_norm(ref @ value, scenario.norm)
         bound = (
             bnorm
             * m

@@ -28,6 +28,19 @@ from .evolution import apply_evolution, eta_constant
 from .mild import _march
 from .propagator import growth_bound
 
+__all__ = [
+    "IteratesReport",
+    "LipschitzReport",
+    "QuasilinearProblem",
+    "QuasilinearTrajectory",
+    "check_lipschitz",
+    "continuous_dependence_gap",
+    "contraction_estimate",
+    "fixed_point_residual",
+    "norm_coupled_diffusion",
+    "solve_quasilinear",
+]
+
 
 @dataclass(frozen=True)
 class QuasilinearProblem:
@@ -258,20 +271,17 @@ def _trajectory_gap(scenario, new_states, old_states, times):
     return max(gaps), float(np.trapezoid(gaps, times))
 
 
-def _confinement_violation(scenario, problem, states):
+def _confined(scenario, problem, states):
+    """Whether every state stays in the trust ball (and the L_p ball, if set)."""
     phi = problem.ball_center
-    for state in states:
-        drift = state_norm(scenario, state.with_values(state.values - phi.values))
-        if drift > problem.ball_radius * (1 + 1e-12):
-            return f"iterate left the ball: drift {drift:.6g} > {problem.ball_radius}"
-    if problem.lp_mode is not None:
-        p, n_zero = problem.lp_mode
-        cap = (n_zero + problem.ball_radius) * lp_age_norm(scenario, phi, p)
-        for state in states:
-            size = lp_age_norm(scenario, state, p)
-            if size > cap * (1 + 1e-12):
-                return f"iterate left the L_p ball: {size:.6g} > {cap:.6g}"
-    return None
+    if any(state_norm(scenario, s.with_values(s.values - phi.values))
+           > problem.ball_radius * (1 + 1e-12) for s in states):
+        return False
+    if problem.lp_mode is None:
+        return True
+    p, n_zero = problem.lp_mode
+    cap = (n_zero + problem.ball_radius) * lp_age_norm(scenario, phi, p)
+    return all(lp_age_norm(scenario, s, p) <= cap * (1 + 1e-12) for s in states)
 
 
 def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"):
@@ -281,8 +291,9 @@ def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"
     constant-in-time center profile (or from the first linear solve when
     initial="linear"), accepts when the sup-in-time gap between iterates
     drops to tol, and halves the horizon on ball exit or on a gap ratio
-    above 0.9, restarting the loop.  The horizon underflowing one time
-    step raises a convergence error suggesting weaker coupling.  No
+    above 0.9, restarting the loop.  Running out of ``max_iter``
+    iterations at one horizon, or the horizon underflowing one time step,
+    raises a convergence error carrying that horizon's sup gaps.  No
     stability constant is estimated: see :func:`contraction_estimate`.
     """
     if tol <= 0:
@@ -301,65 +312,40 @@ def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"
                 "lp_mode cannot confine the center profile: n_zero + radius < 1"
             )
     dt = scenario.time_grid.step
-    m = scenario.time_grid.n_time
-    halvings = 0
-    last_history = []
-    while m >= 1:
-        times = tuple(j * dt for j in range(m + 1))
-        outcome = _attempt(scenario, problem, times, tol, max_iter, initial)
-        status, states, n_used, sup_gaps, integral_gaps = outcome
-        last_history = sup_gaps
-        if status == "converged":
-            t_phi = times[-1]
-            report = IteratesReport(
-                t_phi=t_phi,
-                halvings=halvings,
-                sup_gaps=tuple(sup_gaps),
-                integral_gaps=tuple(integral_gaps),
-                n_used=n_used,
-            )
-            return QuasilinearTrajectory(times, states, n_used), t_phi, report
-        if status == "max_iter":
+    n_time = scenario.time_grid.n_time
+    for halvings in range(n_time.bit_length()):
+        times = tuple(j * dt for j in range((n_time >> halvings) + 1))
+        states = (phi,) * len(times)
+        sup_gaps, integral_gaps = [], []
+        if initial == "linear":
+            states, _ = _picard_step(scenario, problem, times, states, tol)
+            if not _confined(scenario, problem, states):
+                continue
+        for _ in range(max_iter):
+            new_states, n_used = _picard_step(scenario, problem, times, states, tol)
+            gap, integral = _trajectory_gap(scenario, new_states, states, times)
+            sup_gaps.append(gap)
+            integral_gaps.append(integral)
+            if not _confined(scenario, problem, new_states):
+                break
+            if gap <= tol:
+                report = IteratesReport(times[-1], halvings, tuple(sup_gaps),
+                                        tuple(integral_gaps), n_used)
+                return QuasilinearTrajectory(times, new_states, n_used), times[-1], report
+            if len(sup_gaps) >= 2 and sup_gaps[-2] > 0 and gap / sup_gaps[-2] > 0.9:
+                break  # stalled: no contraction at this horizon
+            states = new_states
+        else:
             raise ConvergenceError(
                 f"no fixed point within {max_iter} iterations at horizon "
                 f"{times[-1]!r}; sup gaps: {[float(x) for x in sup_gaps]}",
-                history=list(sup_gaps),
+                history=sup_gaps,
             )
-        m //= 2
-        halvings += 1
     raise ConvergenceError(
         "contraction horizon fell below one time step; weaken the state "
         "coupling, enlarge the ball, or refine the time grid",
-        history=list(last_history),
+        history=sup_gaps,
     )
-
-
-def _attempt(scenario, problem, times, tol, max_iter, initial):
-    phi = problem.ball_center
-    states = tuple([phi] * len(times))
-    n_used = 1
-    if initial == "linear":
-        states, n_used = _picard_step(scenario, problem, times, states, tol)
-        why = _confinement_violation(scenario, problem, states)
-        if why is not None:
-            return "ball", states, n_used, [], []
-    sup_gaps = []
-    integral_gaps = []
-    prev = states
-    for _ in range(max_iter):
-        new_states, n_used = _picard_step(scenario, problem, times, prev, tol)
-        gap, integral = _trajectory_gap(scenario, new_states, prev, times)
-        sup_gaps.append(gap)
-        integral_gaps.append(integral)
-        why = _confinement_violation(scenario, problem, new_states)
-        if why is not None:
-            return "ball", new_states, n_used, sup_gaps, integral_gaps
-        if gap <= tol:
-            return "converged", new_states, n_used, sup_gaps, integral_gaps
-        if len(sup_gaps) >= 2 and sup_gaps[-2] > 0 and gap / sup_gaps[-2] > 0.9:
-            return "stalled", new_states, n_used, sup_gaps, integral_gaps
-        prev = new_states
-    return "max_iter", prev, n_used, sup_gaps, integral_gaps
 
 
 def fixed_point_residual(scenario, problem, trajectory, tol=1e-6):

@@ -44,6 +44,12 @@ from .quasilinear import (
 from .renewal import birth_identity_residual
 from .semigroup import enforce_birth_balance, semigroup_property_residual
 
+__all__ = [
+    "CheckResult",
+    "VerificationReport",
+    "run_verification",
+]
+
 SLACK = 0.05
 
 

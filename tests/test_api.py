@@ -92,11 +92,20 @@ def test_scenario_store_has_one_owner():
     assert touching == ["core.py", "propagator.py"]
 
 
-def test_propagator_all_names_the_package_exports():
-    from kato_evolve import propagator
+def test_every_module_all_names_what_the_package_exports():
+    import importlib
 
     init = ast.parse(Path(ke.__file__).read_text(encoding="utf-8"))
-    exported = [alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) and node.module == "propagator"
-                for alias in node.names]
-    assert sorted(propagator.__all__) == sorted(exported)
+    exported = {node.module: sorted(alias.name for alias in node.names)
+                for node in init.body if isinstance(node, ast.ImportFrom)}
+    assert len(exported) == 10
+    declared = {name: sorted(importlib.import_module(f"kato_evolve.{name}").__all__)
+                for name in exported}
+    assert declared == exported
+
+
+def test_src_lines_fit_in_100_characters():
+    long = [f"{path.name}:{i}" for path in sorted(Path(ke.__file__).parent.glob("*.py"))
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert long == []

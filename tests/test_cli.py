@@ -41,6 +41,23 @@ def test_preset_and_scenario_are_exclusive(capsys, tmp_path):
     assert "usage:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("birth", "--preset", "SCAL0", "--tol", "1e-3"),
+    ("verify", "--preset", "SCAL0", "--profile", "ones"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage:" in err and "unrecognized arguments" in err
+
+
+def test_evolve_still_takes_tol(capsys):
+    code, out, _ = run(capsys, "evolve", "--preset", "SCAL0", "--t", "0.5", "--tol", "1e-3")
+    assert code == 0
+    assert json.loads(out)["tol"] == 1e-3
+
+
 def test_semigroup_reports_norms(capsys):
     code, out, _ = run(capsys, "semigroup", "--preset", "SCAL0", "--s", "0.25")
     assert code == 0

@@ -94,6 +94,32 @@ def test_build_scenario_rejects_malformed_fields(override, field, problem):
         ke.preset_scenario("SCAL0", **override)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_tolerances_reject_non_finite_and_non_positive_values(bad):
+    with pytest.raises(ke.ValidationError, match="tolerance membership must be finite"):
+        ke.Tolerances(membership=bad)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("s_max_factor", math.nan),
+        ("s_max_factor", math.inf),
+        ("reference_operator", [[math.nan]]),
+        ("reference_operator", [[math.inf]]),
+    ],
+)
+def test_scenario_rejects_non_finite_fields(scal0, field, value):
+    with pytest.raises(ke.ValidationError, match=f"{field} must be finite"):
+        dataclasses.replace(scal0, caches={}, **{field: value})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_operator_field_rejects_a_bad_time_constant(bad):
+    with pytest.raises(ke.ValidationError, match="lipschitz_t"):
+        ke.OperatorField(1, lambda t, ages: np.zeros((len(ages), 1, 1)), lipschitz_t=bad)
+
+
 def test_sampled_fields_reject_non_finite_values():
     op = ke.OperatorField(2, lambda t, ages: np.full((len(ages), 2, 2), np.nan))
     with pytest.raises(ke.ValidationError, match="not finite"):

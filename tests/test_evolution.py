@@ -88,11 +88,9 @@ def test_identical_plans_are_deduplicated(diff1, tilted):
     assert [n for n, _ in result.gaps] == [1]
 
 
-def test_stabilized_plans_accept_terminally():
-    # with 48 lattice steps the partition counts stop at 16, and on a two
-    # step span the n = 8 and n = 16 plans coincide; the ladder ends at the
-    # last distinct plan with a structurally zero gap
-    sc = ke.build_scenario(
+def _t48():
+    """48 lattice steps: partition counts stop at 16."""
+    return ke.build_scenario(
         {
             "label": "t48",
             "dim": 8,
@@ -110,6 +108,12 @@ def test_stabilized_plans_accept_terminally():
             "norm": "two",
         }
     )
+
+
+def test_stabilized_plans_accept_terminally():
+    # on a two step span the n = 8 and n = 16 plans coincide; the ladder
+    # ends at the last distinct plan with a structurally zero gap
+    sc = _t48()
     h = sc.age_grid.step
     phi = ke.make_profile(sc, "tilted")
     assert ke.approximant_plan(sc, 8, 8 * h, 6 * h) == ke.approximant_plan(
@@ -119,6 +123,32 @@ def test_stabilized_plans_accept_terminally():
     assert result.n_used == 8
     assert result.cauchy_gap == 0.0
     assert [n for n, _ in result.gaps] == [1, 8]
+
+
+def test_floor_gap_at_the_last_distinct_pair_returns_the_coarse_level():
+    # the field's time variation does not touch a flat profile, so the
+    # only distinct pair (1, 8) agrees to rounding and has no probe left
+    sc = _t48()
+    h = sc.age_grid.step
+    phi = ke.make_profile(sc, "ones")
+    result = ke.apply_evolution(sc, 8 * h, 6 * h, phi, tol=1e-13)
+    assert result.n_used == 1
+    assert [n for n, _ in result.gaps] == [1]
+    floor = FLOOR_FACTOR * ke.state_norm(sc, phi)
+    assert 0.0 < result.cauchy_gap == result.gaps[0][1] <= floor
+    assert np.array_equal(result.value.values,
+                          ke.apply_approximant(sc, 1, 8 * h, 6 * h, phi).values)
+
+
+def test_plan_rejects_a_count_off_the_lattice(diff1):
+    with pytest.raises(ke.GridAlignmentError,
+                       match="compatible counts: 1, 2, 4, 8, 16, 32, 64"):
+        ke.approximant_plan(diff1, 3, 0.5, 0.0)
+
+
+def test_evolution_rejects_a_reversed_span(diff1, tilted):
+    with pytest.raises(ke.ValidationError, match="need 0 <= s <= t <= horizon"):
+        ke.apply_evolution(diff1, 0.25, 0.5, tilted)
 
 
 def test_unreachable_tolerance_raises_with_history(diff1):

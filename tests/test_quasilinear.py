@@ -204,6 +204,71 @@ def test_too_tight_tolerance_propagates_ladder_failure(qdiff):
         ke.solve_quasilinear(qdiff, problem, tol=1e-6)
 
 
+def _fake_picard_step(center, offset_of):
+    """A stand-in Picard step: every state of the new iterate is the center
+    shifted by offset_of(m, states), with m the horizon in time steps; the
+    horizons of the calls are kept in ``calls``."""
+    calls = []
+
+    def step(scenario, problem, times, states, tol):
+        calls.append(len(times) - 1)
+        shift = offset_of(len(times) - 1, states)
+        return tuple(center.with_values(center.values + shift) for _ in times), 1
+
+    step.calls = calls
+    return step
+
+
+def test_stalled_iterates_halve_down_to_underflow(qdiff, monkeypatch):
+    from kato_evolve import quasilinear
+
+    problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS)
+    center = problem.ball_center
+    fake = _fake_picard_step(center, lambda m, states: 0.01 if len(fake.calls) % 2 else -0.01)
+    monkeypatch.setattr(quasilinear, "_picard_step", fake)
+    with pytest.raises(ke.ConvergenceError, match="fell below one time step") as exc:
+        ke.solve_quasilinear(qdiff, problem, tol=TOL)
+    assert fake.calls == [16, 16, 8, 8, 4, 4, 2, 2, 1, 1]
+    assert exc.value.history == pytest.approx((0.04, 0.08))
+
+
+def test_max_iter_exhausted_raises_at_the_current_horizon(qdiff, monkeypatch):
+    from kato_evolve import quasilinear
+
+    # each step halves the distance to a target 2.0 away from the center
+    # (0.5 per state entry, |ones| = 4); on the full horizon the target
+    # sits twice as far and the second iterate leaves the ball of radius 2
+    problem = ke.norm_coupled_diffusion(qdiff, EPS, 2.0)
+    center = problem.ball_center
+
+    def halfway(m, states):
+        target = 0.5 if m <= 8 else 1.0
+        return 0.5 * (states[0].values[0, 0] - center.values[0, 0] + target)
+
+    fake = _fake_picard_step(center, halfway)
+    monkeypatch.setattr(quasilinear, "_picard_step", fake)
+    with pytest.raises(ke.ConvergenceError,
+                       match="no fixed point within 4 iterations at horizon 0.25") as exc:
+        ke.solve_quasilinear(qdiff, problem, tol=1e-9, max_iter=4)
+    assert fake.calls == [16, 16, 8, 8, 8, 8]
+    assert exc.value.history == pytest.approx((1.0, 0.5, 0.25, 0.125))
+
+
+def test_linear_start_outside_the_ball_underflows_with_no_gaps(qdiff, monkeypatch):
+    from kato_evolve import quasilinear
+
+    calls = []
+    step = quasilinear._picard_step
+    monkeypatch.setattr(quasilinear, "_picard_step", lambda sc, pr, times, *rest: (
+        calls.append(len(times) - 1) or step(sc, pr, times, *rest)))
+    tilted = ke.make_profile(qdiff, "tilted")
+    problem = ke.norm_coupled_diffusion(qdiff, 5.0, 0.01, center=tilted)
+    with pytest.raises(ke.ConvergenceError, match="fell below one time step") as exc:
+        ke.solve_quasilinear(qdiff, problem, tol=1e-6, initial="linear")
+    assert calls == [16, 8, 4, 2, 1]  # only the linear start, at every horizon
+    assert exc.value.history == ()
+
+
 def test_picard_steps_reuse_constants_and_birth_samples(qdiff, monkeypatch):
     from kato_evolve import propagator
 
