@@ -21,6 +21,7 @@ from .core import (
     ConvergenceError,
     GridAlignmentError,
     ValidationError,
+    _state_distance,
     build_scenario,
     make_profile,
     state_norm,
@@ -42,7 +43,6 @@ from .products import (
     parse_plan,
     stability_margin,
 )
-from .propagator import default_constants
 from .quasilinear import (
     check_lipschitz,
     contraction_estimate,
@@ -222,15 +222,14 @@ def _cmd_product(args, scenario, phi):
     plan = parse_plan(args.plan)
     direct = apply_product_direct(scenario, plan, phi)
     seq = apply_product_sequential(scenario, plan, phi)
-    gap = state_norm(scenario, direct.with_values(direct.values - seq.values))
-    constants = default_constants(scenario)
+    gap = _state_distance(scenario, direct, seq)
     payload = {
         "plan": [[t, s] for t, s in zip(plan.times, plan.durations)],
         "direct_vs_sequential_gap": gap,
         "norm_out": state_norm(scenario, direct),
-        "transport_bound_margin": stability_margin(scenario, plan, phi, constants, 0),
-        "birth_chain_margin": birth_chain_margin(scenario, plan, phi, constants, 0),
-        "lp_bound_margin": lp_stability_margin(scenario, plan, phi, 2.0, constants, 0),
+        "transport_bound_margin": stability_margin(scenario, plan, phi),
+        "birth_chain_margin": birth_chain_margin(scenario, plan, phi),
+        "lp_bound_margin": lp_stability_margin(scenario, plan, phi, 2.0),
     }
     files = [("product_state.csv", _state_header(scenario.dim), _state_rows(direct))]
     return payload, files
@@ -319,7 +318,7 @@ def _cmd_quasilinear(args, scenario, phi):
         (
             t,
             state_norm(scenario, u),
-            state_norm(scenario, u.with_values(u.values - center.values)),
+            _state_distance(scenario, u, center),
         )
         for t, u in zip(trajectory.times, trajectory.states)
     ]

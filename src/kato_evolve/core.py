@@ -554,6 +554,11 @@ def state_norm(scenario, phi):
     return float(g.step * np.dot(g.weights, per_node))
 
 
+def _state_distance(scenario, a, b):
+    """State norm of a - b: the one distance between two profiles."""
+    return state_norm(scenario, a.with_values(a.values - b.values))
+
+
 def graph_state_norm(scenario, phi):
     """Graph norm of a state: base norm plus base norm of the reference image."""
     ref = scenario.reference_operator
@@ -573,8 +578,8 @@ def upwind_derivative(phi):
 
 def lp_age_norm(scenario, phi, p, ell=0):
     """Discrete L_p-in-age norm of the nodewise base or graph norm."""
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    if not (np.isfinite(p) and p >= 1):
+        raise ValidationError(f"p must be finite and >= 1, got {p!r}")
     g = phi.grid
     per_node = _norms(phi.values, scenario.norm, axis=1)
     if ell != 0:
@@ -694,6 +699,12 @@ def _modulated_laplacian_operator(d, a_max, kappa0, time_amplitude, age_slope):
         return kappa[:, None, None] * lap
 
     lip = abs(k0) * abs(amp) * 2.0 * math.pi * (1.0 + abs(slope)) * float(np.linalg.norm(lap, 2))
+    if not math.isfinite(lip):
+        raise ValidationError(
+            f"modulated_laplacian with kappa0 = {kappa0!r}, time_amplitude = "
+            f"{time_amplitude!r} and age_slope = {age_slope!r} has a time-Lipschitz "
+            "constant beyond the float range"
+        )
     return OperatorField(
         d,
         evaluate,

@@ -27,6 +27,7 @@ from .core import (
     GridAlignmentError,
     StateVector,
     ValidationError,
+    _state_distance,
     apply_generator,
     state_norm,
 )
@@ -132,10 +133,6 @@ def eta_constant(scenario):
     return float(max(growth_bound(scenario, 0)[1], growth_bound(scenario, 1)[1]))
 
 
-def _gap(scenario, a, b):
-    return state_norm(scenario, a.with_values(a.values - b.values))
-
-
 def _floor(scenario, phi_norm, a, b):
     """Rounding floor of the gap between levels a and b evolved from phi."""
     return FLOOR_FACTOR * max(phi_norm, state_norm(scenario, a), state_norm(scenario, b))
@@ -201,7 +198,7 @@ def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0)
 
     def pair_gap(i):
         a, b = level(ns[i]), level(ns[i + 1])
-        return _gap(scenario, a, b), _floor(scenario, phi_norm, a, b)
+        return _state_distance(scenario, a, b), _floor(scenario, phi_norm, a, b)
 
     def accept(i_coarse, gap, history):
         coarse, fine = level(ns[i_coarse]), level(ns[i_coarse + 1])
@@ -263,7 +260,7 @@ def evolution_cocycle_residual(scenario, s, r, t, phi, tol=1e-6):
     outer = apply_evolution(
         scenario, t, r, inner.value, outer_tol, extrapolate=True, confirm=1
     )
-    return _gap(scenario, whole.value, outer.value)
+    return _state_distance(scenario, whole.value, outer.value)
 
 
 def evolution_bound_margin(scenario, t, s, phi, tol=1e-6, slack=0.0):
@@ -325,7 +322,7 @@ def convergence_study(scenario, t, s, phi, n_values=None):
     prev_signal = None
     for n in n_values:
         coarse, fine = level(n), level(2 * n)
-        gap = _gap(scenario, coarse, fine)
+        gap = _state_distance(scenario, coarse, fine)
         signal = gap if gap > _floor(scenario, phi_norm, coarse, fine) else None
         if prev_signal is not None and signal is not None:
             rate = float(np.log2(prev_signal / signal))

@@ -21,6 +21,7 @@ from .core import (
     StateVector,
     ValidationError,
     _align_index,
+    _state_distance,
     make_profile,
     state_norm,
 )
@@ -138,7 +139,7 @@ def duhamel_residual(scenario, trajectory, phi, forcing):
     worst = 0.0
     for j, state in enumerate(trajectory.states):
         twin = refined[2 * j]
-        gap = state_norm(scenario, state.with_values(state.values - twin.values))
+        gap = _state_distance(scenario, state, twin)
         worst = max(worst, gap)
     return worst
 

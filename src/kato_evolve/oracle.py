@@ -21,9 +21,9 @@ from .core import (
     StateVector,
     ValidationError,
     _check_profile_shape,
+    _state_distance,
     birth_quadrature,
     refine_scenario,
-    state_norm,
 )
 from .evolution import apply_evolution
 
@@ -121,9 +121,7 @@ def compare(scenario, phi, t_end, refinements, tol=1e-6):
         fine_phi = _resample(scen, phi)
         direct = solve_direct(scen, fine_phi, t_end).final
         evolved = apply_evolution(scen, t_end, 0.0, fine_phi, tol=tol * 0.5**r).value
-        gap = state_norm(
-            scen, direct.with_values(direct.values - evolved.values)
-        )
+        gap = _state_distance(scen, direct, evolved)
         if prev is not None and prev > 0 and gap > 0:
             order = math.log2(prev / gap)
         else:

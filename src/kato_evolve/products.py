@@ -9,8 +9,9 @@ the module's central check.
 
 The bound helpers compute margins of the exponential stability estimates for
 such products: prefactor times exp(rate times total duration), in the base
-norm, the graph norm, and the L_p-in-age norm.  A nonnegative margin means
-the bound holds; slack inflates the bound to absorb discretization error.
+norm and the L_p-in-age norm, with the base-norm constants of
+``growth_bound``.  A nonnegative margin means the bound holds; slack
+inflates the bound to absorb discretization error.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ValidationError,
-    graph_state_norm,
-    lp_age_norm,
-    spatial_norm,
-    state_norm,
-)
+from .core import ValidationError, lp_age_norm, spatial_norm, state_norm
 from .propagator import growth_bound, propagate_indices
 from .renewal import _march_plan, solve_birth
 from .semigroup import apply_semigroup
@@ -173,11 +168,7 @@ def apply_product_direct(scenario, plan, phi):
     return phi.with_values(out)
 
 
-def _ell_state_norm(scenario, phi, ell):
-    return state_norm(scenario, phi) if ell == 0 else graph_state_norm(scenario, phi)
-
-
-def stability_margin(scenario, plan, phi, constants, ell, slack=0.0):
+def stability_margin(scenario, plan, phi, slack=0.0):
     """Bound margin for the product norm.
 
     Returns prefactor * exp(rate * total duration) * (1 + slack) * norm(phi)
@@ -185,18 +176,13 @@ def stability_margin(scenario, plan, phi, constants, ell, slack=0.0):
     bound holds on this plan.  A negative value reports a violation, it does
     not raise.
     """
-    m, rate = growth_bound(scenario, ell, constants)
+    m, rate = growth_bound(scenario, 0)
     product = apply_product_sequential(scenario, plan, phi)
-    bound = (
-        m
-        * np.exp(rate * plan.total_duration)
-        * (1.0 + slack)
-        * _ell_state_norm(scenario, phi, ell)
-    )
-    return float(bound - _ell_state_norm(scenario, product, ell))
+    bound = m * np.exp(rate * plan.total_duration) * (1.0 + slack) * state_norm(scenario, phi)
+    return float(bound - state_norm(scenario, product))
 
 
-def birth_chain_margin(scenario, plan, phi, constants, ell, slack=0.0):
+def birth_chain_margin(scenario, plan, phi, slack=0.0):
     """Bound margin for the newborn flux of a partial product.
 
     The last plan entry names the frozen time of the trajectory; the earlier
@@ -204,8 +190,8 @@ def birth_chain_margin(scenario, plan, phi, constants, ell, slack=0.0):
     with the trajectory span s plus the partial product's total duration;
     the minimum margin over s = 0, a_max / 2 and a_max is returned.
     """
-    m, rate = growth_bound(scenario, ell, constants)
-    bnorm = scenario.birth_norm(ell)
+    m, rate = growth_bound(scenario, 0)
+    bnorm = scenario.birth_norm(0)
     g = scenario.age_grid
     s_values = (0.0, g.a_max / 2, g.a_max)
     prefix_plan_total = float(sum(plan.durations[:-1]))
@@ -217,15 +203,11 @@ def birth_chain_margin(scenario, plan, phi, constants, ell, slack=0.0):
             phi,
         )
     traj = solve_birth(scenario, plan.times[-1], state, g.a_max)
-    phi_norm = _ell_state_norm(scenario, phi, ell)
-    ref = scenario.reference_operator
+    phi_norm = state_norm(scenario, phi)
     margin = np.inf
     for s in s_values:
         idx = g.index_of(s, "trajectory span")
-        value = traj.values[idx]
-        vnorm = spatial_norm(value, scenario.norm)
-        if ell == 1:  # the graph norm |v| + |ref v|
-            vnorm += spatial_norm(ref @ value, scenario.norm)
+        vnorm = spatial_norm(traj.values[idx], scenario.norm)
         bound = (
             bnorm
             * m
@@ -237,7 +219,7 @@ def birth_chain_margin(scenario, plan, phi, constants, ell, slack=0.0):
     return float(margin)
 
 
-def lp_stability_margin(scenario, plan, phi, p, constants, ell, slack=0.0):
+def lp_stability_margin(scenario, plan, phi, p, slack=0.0):
     """Bound margin for the product in the L_p-in-age norm.
 
     The constants follow from the base bound: prefactor
@@ -245,16 +227,16 @@ def lp_stability_margin(scenario, plan, phi, p, constants, ell, slack=0.0):
     :func:`growth_bound`.  The right side takes the larger of the initial
     profile's L_p and L_1 norms.
     """
-    if not p > 1:
-        raise ValidationError("p must exceed 1")
-    m, rate = growth_bound(scenario, ell, constants)
-    bnorm = scenario.birth_norm(ell)
+    if not (np.isfinite(p) and p > 1):
+        raise ValidationError(f"p must be finite and exceed 1, got {p!r}")
+    m, rate = growth_bound(scenario, 0)
+    bnorm = scenario.birth_norm(0)
     product = apply_product_sequential(scenario, plan, phi)
     prefactor = ((bnorm ** (p - 1)) * m ** (2 * p - 1) / p + m**p) ** (1.0 / p)
     bound = (
         prefactor
         * np.exp(rate * plan.total_duration)
         * (1.0 + slack)
-        * max(lp_age_norm(scenario, phi, p, ell), _ell_state_norm(scenario, phi, ell))
+        * max(lp_age_norm(scenario, phi, p), state_norm(scenario, phi))
     )
-    return float(bound - lp_age_norm(scenario, product, p, ell))
+    return float(bound - lp_age_norm(scenario, product, p))

@@ -274,14 +274,14 @@ def default_constants(scenario):
     return scenario.caches[key]
 
 
-def growth_bound(scenario, ell, constants=None):
+def growth_bound(scenario, ell):
     """(M_ell, omega_ell + M_ell |b|_ell): a bound's prefactor and rate with births.
 
-    ell = 0 is the base norm, ell = 1 the graph norm; the constants default
-    to :func:`default_constants`.  Every bound takes its rate from here.
+    ell = 0 is the base norm, ell = 1 the graph norm; the constants are the
+    scenario's :func:`default_constants`.  Every bound takes its rate from here.
     """
     if ell not in (0, 1):
         raise ValidationError("ell must be 0 or 1")
-    c = default_constants(scenario) if constants is None else constants
+    c = default_constants(scenario)
     m, omega = (c.m0, c.omega0) if ell == 0 else (c.m1, c.omega1)
     return m, omega + m * scenario.birth_norm(ell)

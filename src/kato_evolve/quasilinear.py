@@ -19,6 +19,7 @@ from .core import (
     StateVector,
     ValidationError,
     _matrix_norms,
+    _state_distance,
     graph_state_norm,
     lp_age_norm,
     make_profile,
@@ -149,8 +150,7 @@ def check_lipschitz(problem, scenario, samples=8, seed=0):
     for _ in range(samples):
         v1 = _ball_sample(scenario, problem, rng)
         v2 = _ball_sample(scenario, problem, rng)
-        diff = v1.with_values(v1.values - v2.values)
-        dv = state_norm(scenario, diff)
+        dv = _state_distance(scenario, v1, v2)
         if dv == 0.0:
             continue
         t = float(rng.uniform(0.0, horizon))
@@ -175,14 +175,18 @@ def _ball_sample(scenario, problem, rng):
     )
 
 
+def _eta_and_r(scenario):
+    """The evolution bound's rate eta and prefactor R = M0 M1."""
+    return eta_constant(scenario), growth_bound(scenario, 0)[0] * growth_bound(scenario, 1)[0]
+
+
 def contraction_estimate(scenario, problem, t_phi):
     """Predicted Picard contraction factor L R e^{eta t_phi} |phi|_graph t_phi.
 
     Returns a dict of that factor, ``eta``, ``r_constant`` (R = M0 M1) and
     ``phi_graph_norm`` (of the ball center), from :func:`default_constants`.
     """
-    eta = eta_constant(scenario)
-    r_constant = growth_bound(scenario, 0)[0] * growth_bound(scenario, 1)[0]
+    eta, r_constant = _eta_and_r(scenario)
     phi_graph = graph_state_norm(scenario, problem.ball_center)
     return {
         "predicted_contraction": (
@@ -203,7 +207,7 @@ def continuous_dependence_gap(scenario, a1, a2, phi, s, t, tol=1e-6):
     """
     u1 = apply_evolution(scenario._with_operator(a1), t, s, phi, tol=tol).value
     u2 = apply_evolution(scenario._with_operator(a2), t, s, phi, tol=tol).value
-    lhs = state_norm(scenario, u1.with_values(u1.values - u2.values))
+    lhs = _state_distance(scenario, u1, u2)
     taus = np.linspace(s, t, 65)
     nodes = scenario.age_grid.nodes
     sep = [
@@ -211,8 +215,7 @@ def continuous_dependence_gap(scenario, a1, a2, phi, s, t, tol=1e-6):
         for tau in taus
     ]
     integral = float(np.trapezoid(sep, taus)) if t > s else 0.0
-    eta = eta_constant(scenario)
-    r_constant = growth_bound(scenario, 0)[0] * growth_bound(scenario, 1)[0]
+    eta, r_constant = _eta_and_r(scenario)
     rhs = r_constant * math.exp(eta * (t - s)) * graph_state_norm(scenario, phi) * integral
     return float(lhs), float(rhs)
 
@@ -235,8 +238,7 @@ def _trajectory_field(scenario, problem, times, states):
     lipschitz_t = None
     if problem.lipschitz_t is not None:
         drift = max(
-            (state_norm(scenario, a.with_values(b.values - a.values))
-             for a, b in zip(states, states[1:])),
+            (_state_distance(scenario, b, a) for a, b in zip(states, states[1:])),
             default=0.0,
         )
         lipschitz_t = problem.lipschitz_t + problem.lipschitz_l * drift / dt
@@ -264,18 +266,15 @@ def _picard_step(scenario, problem, times, states, tol):
 
 
 def _trajectory_gap(scenario, new_states, old_states, times):
-    gaps = [
-        state_norm(scenario, a.with_values(a.values - b.values))
-        for a, b in zip(new_states, old_states)
-    ]
+    gaps = [_state_distance(scenario, a, b) for a, b in zip(new_states, old_states)]
     return max(gaps), float(np.trapezoid(gaps, times))
 
 
 def _confined(scenario, problem, states):
     """Whether every state stays in the trust ball (and the L_p ball, if set)."""
     phi = problem.ball_center
-    if any(state_norm(scenario, s.with_values(s.values - phi.values))
-           > problem.ball_radius * (1 + 1e-12) for s in states):
+    if any(_state_distance(scenario, s, phi) > problem.ball_radius * (1 + 1e-12)
+           for s in states):
         return False
     if problem.lp_mode is None:
         return True

@@ -26,6 +26,7 @@ import numpy as np
 from .core import (
     StateVector,
     ValidationError,
+    _state_distance,
     apply_generator,
     birth_quadrature,
     check_birth_balance,
@@ -64,13 +65,13 @@ def semigroup_property_residual(scenario, t, s1, s2, phi):
     """
     whole = apply_semigroup(scenario, t, s1 + s2, phi)
     staged = apply_semigroup(scenario, t, s1, apply_semigroup(scenario, t, s2, phi))
-    return state_norm(scenario, whole.with_values(whole.values - staged.values))
+    return _state_distance(scenario, whole, staged)
 
 
 def strong_continuity_gap(scenario, t, s, phi):
     """State-norm distance between the evolved and the initial profile."""
     moved = apply_semigroup(scenario, t, s, phi)
-    return state_norm(scenario, moved.with_values(moved.values - phi.values))
+    return _state_distance(scenario, moved, phi)
 
 
 def generator_residual(scenario, t, phi, s=None):

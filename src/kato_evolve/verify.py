@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import (
     ConvergenceError,
+    _state_distance,
     check_birth_balance,
     make_profile,
     state_norm,
@@ -34,7 +35,6 @@ from .products import (
     lp_stability_margin,
     stability_margin,
 )
-from .propagator import default_constants
 from .quasilinear import (
     check_lipschitz,
     fixed_point_residual,
@@ -94,30 +94,21 @@ class VerificationReport:
         }
 
 
-def _result(name, passed, margin, detail):
-    return CheckResult(name, "pass" if passed else "fail", float(margin), detail)
+def _verdict(name, leg):
+    """The check ``leg()`` reports: (passed, margin, detail), or a skip reason.
 
-
-def _skip(name, detail):
-    return CheckResult(name, "skip", float("nan"), detail)
-
-
-def _failed(name, exc):
-    """A check that could not finish: failed, carrying the error's message."""
-    return _result(name, False, float("-inf"), str(exc))
-
-
-def _converged(name, leg):
-    """The check from ``leg()``'s (passed, margin, detail), or a failed one.
-
-    Every leg that runs the doubling ladder or the Picard solve goes through
-    here, so a tolerance they cannot reach is reported, not raised.
+    Every check goes through here, so a tolerance the doubling ladder or the
+    Picard solve cannot reach fails its check with the error's message
+    instead of raising.
     """
     try:
-        passed, margin, detail = leg()
+        outcome = leg()
     except ConvergenceError as exc:
-        return _failed(name, exc)
-    return _result(name, passed, margin, detail)
+        return CheckResult(name, "fail", float("-inf"), str(exc))
+    if isinstance(outcome, str):
+        return CheckResult(name, "skip", float("nan"), outcome)
+    passed, margin, detail = outcome
+    return CheckResult(name, "pass" if passed else "fail", float(margin), detail)
 
 
 def _random_plan(scenario, rng, n_factors):
@@ -135,95 +126,80 @@ def run_verification(scenario, seed=0, tol=1e-3):
     rng = np.random.default_rng(seed)
     g = scenario.age_grid
     h = g.step
-    base = g.index_of(scenario.time_grid.horizon, "horizon")
-    checks = []
+    horizon = scenario.time_grid.horizon
+    base = g.index_of(horizon, "horizon")
+    # every random input, drawn up front in one fixed order
+    spans = [
+        (
+            float(rng.uniform(0.0, horizon)),
+            int(rng.integers(0, base // 2 + 1)) * h,
+            int(rng.integers(0, base // 2 + 1)) * h,
+        )
+        for _ in range(4)
+    ]
+    product_plans = [_random_plan(scenario, rng, int(rng.integers(1, 5))) for _ in range(5)]
+    bound_plans = [_random_plan(scenario, rng, int(rng.integers(1, 4))) for _ in range(8)]
 
     phi = make_profile(scenario, "smooth_random", seed=seed)
     phi_norm = state_norm(scenario, phi)
-    balanced = enforce_birth_balance(scenario, phi)
+    t_hi = (3 * base // 4) * h
+    t_mid = (base // 4) * h
+    t_end = (base // 2) * h
+    t_oracle = min(g.a_max, horizon)
+    too_large = "time grid too large for the battery"
+    problem = None
+    if scenario.time_grid.n_time <= 32:
+        problem = norm_coupled_diffusion(scenario, 0.05, 1.0)
+    checks = {}
 
-    ok, residual = check_birth_balance(scenario, balanced)
-    checks.append(
-        _result(
-            "birth_balance_enforcement",
+    def within(worst, bound, detail):
+        return worst <= bound, bound - worst, detail
+
+    def worst_margin(margin_of, *args, detail="8 random plans, 5% slack"):
+        margins = [margin_of(scenario, plan, phi, *args, slack=SLACK) for plan in bound_plans]
+        margin = min(np.inf, *margins)
+        return margin >= 0, margin, detail
+
+    def balance():
+        ok, residual = check_birth_balance(scenario, enforce_birth_balance(scenario, phi))
+        return (
             ok,
             scenario.tolerances.membership - residual,
             f"residual {residual:.3e} after enforcement",
         )
-    )
 
-    worst = 0.0
-    for _ in range(4):
-        t = float(rng.uniform(0.0, scenario.time_grid.horizon))
-        s1 = int(rng.integers(0, base // 2 + 1)) * h
-        s2 = int(rng.integers(0, base // 2 + 1)) * h
-        worst = max(worst, semigroup_property_residual(scenario, t, s1, s2, phi))
-    bound = scenario.tolerances.semigroup * phi_norm
-    checks.append(
-        _result(
-            "semigroup_law",
-            worst <= bound,
-            bound - worst,
+    def semigroup_law():
+        worst = max(0.0, *(semigroup_property_residual(scenario, *span, phi) for span in spans))
+        return within(
+            worst,
+            scenario.tolerances.semigroup * phi_norm,
             f"max staged-vs-whole residual {worst:.3e} over 4 random pairs",
         )
-    )
 
-    worst = 0.0
-    for k in range(1, 6):
-        s = (k * base // 6) * h
-        worst = max(worst, birth_identity_residual(scenario, 0.0, phi, s))
-    checks.append(
-        _result(
-            "birth_identity",
-            worst <= scenario.tolerances.volterra,
-            scenario.tolerances.volterra - worst,
+    def birth_identity():
+        offsets = [(k * base // 6) * h for k in range(1, 6)]
+        worst = max(0.0, *(birth_identity_residual(scenario, 0.0, phi, s) for s in offsets))
+        return within(
+            worst,
+            scenario.tolerances.volterra,
             f"max quadrature-vs-trajectory residual {worst:.3e} at 5 offsets",
         )
-    )
 
-    worst = 0.0
-    for _ in range(5):
-        plan = _random_plan(scenario, rng, int(rng.integers(1, 5)))
-        direct = apply_product_direct(scenario, plan, phi)
-        seq = apply_product_sequential(scenario, plan, phi)
-        gap = state_norm(scenario, direct.with_values(direct.values - seq.values))
-        worst = max(worst, gap)
-    bound = scenario.tolerances.composition * phi_norm
-    checks.append(
-        _result(
-            "product_equivalence",
-            worst <= bound,
-            bound - worst,
+    def product_equivalence():
+        gaps = [
+            _state_distance(
+                scenario,
+                apply_product_direct(scenario, plan, phi),
+                apply_product_sequential(scenario, plan, phi),
+            )
+            for plan in product_plans
+        ]
+        worst = max(0.0, *gaps)
+        return within(
+            worst,
+            scenario.tolerances.composition * phi_norm,
             f"max direct-vs-sequential gap {worst:.3e} over 5 random plans",
         )
-    )
-
-    constants = default_constants(scenario)
-    m31 = np.inf
-    m33 = np.inf
-    m34 = np.inf
-    for _ in range(8):
-        plan = _random_plan(scenario, rng, int(rng.integers(1, 4)))
-        m31 = min(m31, stability_margin(scenario, plan, phi, constants, 0, slack=SLACK))
-        m33 = min(
-            m33, birth_chain_margin(scenario, plan, phi, constants, 0, slack=SLACK)
-        )
-        m34 = min(
-            m34,
-            lp_stability_margin(scenario, plan, phi, 2.0, constants, 0, slack=SLACK),
-        )
-    checks.append(
-        _result("transport_bound_margin", m31 >= 0, m31, "8 random plans, 5% slack")
-    )
-    checks.append(
-        _result("birth_chain_margin", m33 >= 0, m33, "8 random plans, 5% slack")
-    )
-    checks.append(
-        _result("lp_bound_margin", m34 >= 0, m34, "p = 2, 8 random plans, 5% slack")
-    )
-
-    t_hi = (3 * base // 4) * h
-    t_mid = (base // 4) * h
 
     def ladder():
         moved = apply_evolution(scenario, t_hi, 0.0, phi, tol=tol)
@@ -234,105 +210,88 @@ def run_verification(scenario, seed=0, tol=1e-3):
             f"accepted n = {moved.n_used}, gap {moved.cauchy_gap:.3e}",
         )
 
-    checks.append(_converged("evolution_ladder", ladder))
-    if checks[-1].status == "fail":
-        checks.append(_skip("cocycle_residual", "evolution ladder failed"))
-        checks.append(_skip("evolution_bound_margin", "evolution ladder failed"))
-    else:
+    def cocycle():
+        if checks["evolution_ladder"].status == "fail":
+            return "evolution ladder failed"
         # time-dependent fields need a desk-scale splice budget: partition
         # counts compatible with the age lattice top out before rough
         # profiles push the pair gaps much below a few parts per thousand
         cocycle_tol = tol if scenario.operator.time_independent else max(tol, 5e-3)
+        res = evolution_cocycle_residual(scenario, 0.0, t_mid, t_hi, phi, tol=cocycle_tol)
+        return within(
+            res,
+            3 * cocycle_tol * phi_norm,
+            f"splice at {t_mid:g} on [0, {t_hi:g}], residual {res:.3e} "
+            f"at tol {cocycle_tol:g}",
+        )
 
-        def cocycle():
-            res = evolution_cocycle_residual(
-                scenario, 0.0, t_mid, t_hi, phi, tol=cocycle_tol
-            )
-            bound = 3 * cocycle_tol * phi_norm
-            return (
-                res <= bound,
-                bound - res,
-                f"splice at {t_mid:g} on [0, {t_hi:g}], residual {res:.3e} "
-                f"at tol {cocycle_tol:g}",
-            )
-
-        def bound_margin():
-            margin = evolution_bound_margin(
-                scenario, t_hi, 0.0, phi, tol=tol, slack=SLACK
-            )
-            return margin >= 0, margin, "5% slack"
-
-        checks.append(_converged("cocycle_residual", cocycle))
-        checks.append(_converged("evolution_bound_margin", bound_margin))
-
-    t_end = (base // 2) * h
+    def bound_margin():
+        if checks["evolution_ladder"].status == "fail":
+            return "evolution ladder failed"
+        margin = evolution_bound_margin(scenario, t_hi, 0.0, phi, tol=tol, slack=SLACK)
+        return margin >= 0, margin, "5% slack"
 
     def forced():
+        if t_end <= 0:
+            return "horizon too short"
         forcing = forcing_preset(scenario, "constant", amplitude=0.5)
         trajectory = solve_forced(scenario, phi, forcing, t_end, tol=tol)
         margin = forced_bound_margin(scenario, trajectory, phi, forcing, slack=SLACK)
         return margin >= 0, margin, f"constant forcing to t = {t_end:g}, 5% slack"
 
-    if t_end <= 0:
-        checks.append(_skip("forced_bound_margin", "horizon too short"))
-    else:
-        checks.append(_converged("forced_bound_margin", forced))
-
-    t_oracle = min(g.a_max, scenario.time_grid.horizon)
-
     def oracle():
         direct = solve_direct(scenario, phi, t_oracle).final
         evolved = apply_evolution(scenario, t_oracle, 0.0, phi, tol=tol).value
-        gap = state_norm(scenario, direct.with_values(direct.values - evolved.values))
-        bound = 0.5 * phi_norm
-        return (
-            gap <= bound,
-            bound - gap,
+        gap = _state_distance(scenario, direct, evolved)
+        return within(
+            gap,
+            0.5 * phi_norm,
             f"first-order stepper vs evolution at t = {t_oracle:g}: gap {gap:.3e}",
         )
 
-    checks.append(_converged("oracle_agreement", oracle))
+    def positivity():
+        bump = make_profile(scenario, "age_bump")
+        low = float(np.min(solve_direct(scenario, bump, t_oracle).final.values))
+        return low >= -1e-10, low + 1e-10, f"min node value {low:.3e} from nonnegative data"
 
-    bump = make_profile(scenario, "age_bump")
-    front = solve_direct(scenario, bump, t_oracle).final
-    low = float(np.min(front.values))
-    checks.append(
-        _result(
-            "oracle_positivity",
-            low >= -1e-10,
-            low + 1e-10,
-            f"min node value {low:.3e} from nonnegative data",
+    def picard():
+        if problem is None:
+            return too_large
+        trajectory, _, report = solve_quasilinear(scenario, problem, tol=tol)
+        res = fixed_point_residual(scenario, problem, trajectory, tol=tol)
+        return within(
+            res, 2 * tol, f"residual {res:.3e} after {len(report.sup_gaps)} iterations"
         )
-    )
 
-    if scenario.time_grid.n_time > 32:
-        checks.append(
-            _skip("quasilinear_fixed_point", "time grid too large for the battery")
-        )
-        checks.append(
-            _skip("lipschitz_spot_check", "time grid too large for the battery")
-        )
-    else:
-        problem = norm_coupled_diffusion(scenario, 0.05, 1.0)
-
-        def picard():
-            trajectory, _, report = solve_quasilinear(scenario, problem, tol=tol)
-            res = fixed_point_residual(scenario, problem, trajectory, tol=tol)
-            return (
-                res <= 2 * tol,
-                2 * tol - res,
-                f"residual {res:.3e} after {len(report.sup_gaps)} iterations",
-            )
-
-        checks.append(_converged("quasilinear_fixed_point", picard))
+    def lipschitz():
+        if problem is None:
+            return too_large
         lip = check_lipschitz(problem, scenario, samples=6, seed=seed)
-        checks.append(
-            _result(
-                "lipschitz_spot_check",
-                not lip.exceeded,
-                lip.declared_l - lip.observed_l,
-                f"observed {lip.observed_l:.3e} vs declared {lip.declared_l:.3e}",
-            )
+        return (
+            not lip.exceeded,
+            lip.declared_l - lip.observed_l,
+            f"observed {lip.observed_l:.3e} vs declared {lip.declared_l:.3e}",
         )
 
-    return VerificationReport(scenario.label, seed, tol, tuple(checks))
+    legs = {
+        "birth_balance_enforcement": balance,
+        "semigroup_law": semigroup_law,
+        "birth_identity": birth_identity,
+        "product_equivalence": product_equivalence,
+        "transport_bound_margin": lambda: worst_margin(stability_margin),
+        "birth_chain_margin": lambda: worst_margin(birth_chain_margin),
+        "lp_bound_margin": lambda: worst_margin(
+            lp_stability_margin, 2.0, detail="p = 2, 8 random plans, 5% slack"
+        ),
+        "evolution_ladder": ladder,
+        "cocycle_residual": cocycle,
+        "evolution_bound_margin": bound_margin,
+        "forced_bound_margin": forced,
+        "oracle_agreement": oracle,
+        "oracle_positivity": positivity,
+        "quasilinear_fixed_point": picard,
+        "lipschitz_spot_check": lipschitz,
+    }
+    for name, leg in legs.items():
+        checks[name] = _verdict(name, leg)
+    return VerificationReport(scenario.label, seed, tol, tuple(checks.values()))

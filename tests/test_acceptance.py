@@ -129,19 +129,13 @@ def test_criterion_04_product_equivalence(scal0, diff1):
 def test_criterion_05_stability_margins(scal0, diff1, mort1, qdiff):
     low = math.inf
     for sc in (scal0, diff1, mort1, qdiff):
-        constants = ke.estimate_bounds(sc)
         phi = ke.make_profile(sc, "smooth_random", seed=5)
         rng = np.random.default_rng(505)
         for _ in range(50):
             plan = aligned_plan(sc, rng, int(rng.integers(1, 4)))
-            low = min(low, ke.stability_margin(sc, plan, phi, constants, 0, slack=0.05))
-            low = min(
-                low, ke.birth_chain_margin(sc, plan, phi, constants, 0, slack=0.05)
-            )
-            low = min(
-                low,
-                ke.lp_stability_margin(sc, plan, phi, 2.0, constants, 0, slack=0.05),
-            )
+            low = min(low, ke.stability_margin(sc, plan, phi, slack=0.05))
+            low = min(low, ke.birth_chain_margin(sc, plan, phi, slack=0.05))
+            low = min(low, ke.lp_stability_margin(sc, plan, phi, 2.0, slack=0.05))
     verdict(5, "stability margins", low >= 0.0, f"lowest margin {low:.3e}")
 
 

@@ -54,6 +54,32 @@ def test_src_imports_are_used():
     assert unused == []
 
 
+def test_src_private_names_are_used():
+    # a private top-level name that nothing else in the package reads is dead
+    defined, read = [], set()
+    for name, tree in _src_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            defined += [(name, t) for t in targets
+                        if t.startswith("_") and not t.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert len(defined) > 20
+    assert [f"{name}: {t}" for name, t in defined if t not in read] == []
+
+
 def test_src_imports_only_numpy_and_the_standard_library():
     allowed = {"numpy", "kato_evolve", *sys.stdlib_module_names}
     foreign = []

@@ -180,6 +180,32 @@ def test_overflowing_operator_field_reports_once(capsys, tmp_path):
     assert err == "error: operator field is not finite at t=0.0, a=0.0078125\n"
 
 
+def test_overflowing_time_constant_names_its_parameters(capsys, tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"preset": "DIFF1", "operator": {
+        "kind": "modulated_laplacian", "kappa0": 1e306, "time_amplitude": 1e10}}))
+    code, out, err = run(capsys, "semigroup", "--scenario", str(path), "--s", "0.5")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: modulated_laplacian with kappa0 = 1e+306, "
+                          "time_amplitude = 10000000000.0")
+    assert "lipschitz_t" not in err
+
+
+def test_product_prints_the_library_margins(capsys, diff1):
+    code, out, _ = run(capsys, "product", "--preset", "DIFF1", "--plan", "0:0.25,0.5:0.5")
+    assert code == 0
+    payload = json.loads(out)
+    plan = ke.parse_plan("0:0.25,0.5:0.5")
+    phi = ke.make_profile(diff1, "tilted")
+    assert payload["transport_bound_margin"] == ke.stability_margin(diff1, plan, phi)
+    assert payload["birth_chain_margin"] == ke.birth_chain_margin(diff1, plan, phi)
+    assert payload["lp_bound_margin"] == ke.lp_stability_margin(diff1, plan, phi, 2.0)
+    assert min(payload[k] for k in ("transport_bound_margin", "birth_chain_margin",
+                                    "lp_bound_margin")) > 0
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 

@@ -120,6 +120,14 @@ def test_operator_field_rejects_a_bad_time_constant(bad):
         ke.OperatorField(1, lambda t, ages: np.zeros((len(ages), 1, 1)), lipschitz_t=bad)
 
 
+def test_overflowing_time_constant_names_its_parameters():
+    config = {"preset": "DIFF1", "operator": {
+        "kind": "modulated_laplacian", "kappa0": 1e306, "time_amplitude": 1e10}}
+    with pytest.raises(ke.ValidationError,
+                       match=r"kappa0 = 1e\+306, time_amplitude = 10000000000\.0"):
+        ke.build_scenario(config)
+
+
 def test_sampled_fields_reject_non_finite_values():
     op = ke.OperatorField(2, lambda t, ages: np.full((len(ages), 2, 2), np.nan))
     with pytest.raises(ke.ValidationError, match="not finite"):
@@ -248,6 +256,13 @@ def test_lp_age_norm_on_constant(qdiff):
     oq = ke.make_profile(qdiff, "ones")
     assert ke.lp_age_norm(qdiff, oq, 1.0) == pytest.approx(4.0, abs=1e-12)
     assert ke.lp_age_norm(qdiff, oq, 2.0) == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+def test_lp_age_norm_rejects_a_non_finite_or_small_exponent(qdiff, p):
+    phi = ke.make_profile(qdiff, "tilted")
+    with pytest.raises(ke.ValidationError, match="p must be finite and >= 1"):
+        ke.lp_age_norm(qdiff, phi, p)
 
 
 @pytest.mark.parametrize("tag", ["one", "two", "max"])

@@ -1,6 +1,7 @@
 """Time-ordered semigroup products and their stability margins."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -64,15 +65,18 @@ def test_empty_duration_factors_are_identity(scal0):
 def test_stability_margins_nonnegative(diff1):
     rng = np.random.default_rng(13)
     phi = ke.make_profile(diff1, "smooth_random", seed=13)
-    constants = ke.default_constants(diff1)
     for _ in range(8):
         plan = random_plan(diff1, rng)
-        assert ke.stability_margin(diff1, plan, phi, constants, 0, slack=0.05) >= 0.0
-        assert ke.birth_chain_margin(diff1, plan, phi, constants, 0, slack=0.05) >= 0.0
-        assert (
-            ke.lp_stability_margin(diff1, plan, phi, 2.0, constants, 0, slack=0.05)
-            >= 0.0
-        )
+        assert ke.stability_margin(diff1, plan, phi, slack=0.05) >= 0.0
+        assert ke.birth_chain_margin(diff1, plan, phi, slack=0.05) >= 0.0
+        assert ke.lp_stability_margin(diff1, plan, phi, 2.0, slack=0.05) >= 0.0
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 1.0])
+def test_lp_margin_rejects_a_non_finite_or_small_exponent(qdiff, p):
+    phi = ke.make_profile(qdiff, "tilted")
+    with pytest.raises(ke.ValidationError, match="p must be finite and exceed 1"):
+        ke.lp_stability_margin(qdiff, ke.ProductPlan((0.0,), (0.25,)), phi, p)
 
 
 def test_estimate_bounds_is_seeded(diff1):

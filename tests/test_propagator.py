@@ -152,7 +152,5 @@ def test_growth_bound_is_the_inline_rate(name):
     c = ke.default_constants(sc)
     assert ke.growth_bound(sc, 0) == (c.m0, c.omega0 + c.m0 * sc.birth_norm(0))
     assert ke.growth_bound(sc, 1) == (c.m1, c.omega1 + c.m1 * sc.birth_norm(1))
-    other = ke.StabilityConstants(m0=1.5, omega0=-0.25, m1=2.0, omega1=0.5)
-    assert ke.growth_bound(sc, 1, other) == (other.m1, other.omega1 + other.m1 * sc.birth_norm(1))
     with pytest.raises(ke.ValidationError):
         ke.growth_bound(sc, 2)

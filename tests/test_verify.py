@@ -33,6 +33,18 @@ def test_full_battery_on_short_grid(qdiff):
     assert report.seed == 0
 
 
+def test_one_step_horizon_skips_only_the_forced_check():
+    sc = ke.build_scenario({"preset": "QDIFF", "T": 0.03125, "n_time": 1})
+    report = ke.run_verification(sc, seed=0)
+    assert [c.name for c in report.checks] == BATTERY_NAMES
+    by_name = {c.name: c for c in report.checks}
+    forced = by_name.pop("forced_bound_margin")
+    assert (forced.status, forced.detail) == ("skip", "horizon too short")
+    assert math.isnan(forced.margin)
+    assert [c.name for c in by_name.values() if c.status != "pass"] == []
+    assert report.failures == 0
+
+
 def test_long_grids_skip_the_picard_checks(mort1):
     report = ke.run_verification(mort1, seed=0)
     by_name = {c.name: c for c in report.checks}
