@@ -228,7 +228,6 @@ class OperatorField:
     dim: int
     evaluate: object
     lipschitz_t: float | None = None
-    label: str = "operator"
 
     def __post_init__(self):
         if self.lipschitz_t is not None and not (
@@ -259,7 +258,6 @@ class BirthKernel:
 
     dim: int
     evaluate: object
-    label: str = "birth"
 
     def sample(self, ages):
         """b(a) at every age in ``ages``, (len(ages), d, d)."""
@@ -435,6 +433,9 @@ class _KernelRecord:
 class Scenario:
     """Immutable bundle of grids, operators, and tolerances.
 
+    The operator field and the birth kernel must have the scenario's
+    ``dim``; ``s_max`` caps birth trajectories at ten maximal ages.
+
     ``caches`` stores what depends on the operator field: per frozen time,
     one record of that time's step maps and birth trajectories, and the
     default stability constants (the propagator module owns the store; the
@@ -458,7 +459,6 @@ class Scenario:
     reference_operator: np.ndarray
     norm: str = "two"
     tolerances: Tolerances = field(default_factory=Tolerances)
-    s_max_factor: float = 10.0
     label: str = "custom"
     caches: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -475,8 +475,9 @@ class Scenario:
         if not np.isfinite(ref).all():
             raise ValidationError("reference_operator must be finite")
         object.__setattr__(self, "reference_operator", _freeze(ref))
-        if not (np.isfinite(self.s_max_factor) and self.s_max_factor > 0):
-            raise ValidationError("s_max_factor must be finite and positive")
+        for name, part in (("operator", self.operator), ("birth", self.birth)):
+            if part.dim != self.dim:
+                raise ValidationError(f"{name} dim {part.dim} differs from scenario dim {self.dim}")
         # Time steps must land on age nodes so transport stays node-aligned.
         self.age_grid.index_of(self.time_grid.step, "time grid step")
         caches = {} if isinstance(self.caches, _Caches) else self.caches
@@ -507,7 +508,8 @@ class Scenario:
 
     @property
     def s_max(self):
-        return self.s_max_factor * self.age_grid.a_max
+        """The longest birth trajectory :func:`solve_birth` marches: 10 a_max."""
+        return 10.0 * self.age_grid.a_max
 
     def zero_state(self):
         return StateVector(self.age_grid, np.zeros((self.age_grid.n_age + 1, self.dim)))
@@ -576,15 +578,12 @@ def upwind_derivative(phi):
     return phi.with_values(out)
 
 
-def lp_age_norm(scenario, phi, p, ell=0):
-    """Discrete L_p-in-age norm of the nodewise base or graph norm."""
+def lp_age_norm(scenario, phi, p):
+    """Discrete L_p-in-age norm of the nodewise base norm; p = 1 is ``state_norm``."""
     if not (np.isfinite(p) and p >= 1):
         raise ValidationError(f"p must be finite and >= 1, got {p!r}")
     g = phi.grid
     per_node = _norms(phi.values, scenario.norm, axis=1)
-    if ell != 0:
-        ref = scenario.reference_operator
-        per_node = per_node + _norms(phi.values @ ref.T, scenario.norm, axis=1)
     return float((g.step * np.dot(g.weights, per_node**p)) ** (1.0 / p))
 
 
@@ -659,15 +658,10 @@ def neumann_laplacian(d):
     if d == 1:
         return np.zeros((1, 1))
     hx = 1.0 / (d - 1)
-    lap = np.zeros((d, d))
-    for i in range(d):
-        if i > 0:
-            lap[i, i - 1] = 1.0
-            lap[i, i] -= 1.0
-        if i < d - 1:
-            lap[i, i + 1] = 1.0
-            lap[i, i] -= 1.0
-    return lap / hx**2
+    diagonal = np.full(d, -2.0)
+    diagonal[[0, -1]] = -1.0
+    ones = np.ones(d - 1)
+    return (np.diag(diagonal) + np.diag(ones, 1) + np.diag(ones, -1)) / hx**2
 
 
 def _broadcast(mat, ages):
@@ -677,14 +671,12 @@ def _broadcast(mat, ages):
 
 def _zero_operator(d):
     zero = np.zeros((d, d))
-    return OperatorField(d, lambda t, ages: _broadcast(zero, ages), lipschitz_t=0.0,
-                         label="zero")
+    return OperatorField(d, lambda t, ages: _broadcast(zero, ages), lipschitz_t=0.0)
 
 
 def _mortality_operator(d, mu):
     mat = -float(mu) * np.eye(d)
-    return OperatorField(d, lambda t, ages: _broadcast(mat, ages), lipschitz_t=0.0,
-                         label=f"mortality(mu={mu})")
+    return OperatorField(d, lambda t, ages: _broadcast(mat, ages), lipschitz_t=0.0)
 
 
 def _modulated_laplacian_operator(d, a_max, kappa0, time_amplitude, age_slope):
@@ -705,19 +697,14 @@ def _modulated_laplacian_operator(d, a_max, kappa0, time_amplitude, age_slope):
             f"{time_amplitude!r} and age_slope = {age_slope!r} has a time-Lipschitz "
             "constant beyond the float range"
         )
-    return OperatorField(
-        d,
-        evaluate,
-        lipschitz_t=0.0 if amp == 0.0 else lip,
-        label=f"modulated_laplacian(kappa0={kappa0})",
-    )
+    return OperatorField(d, evaluate, lipschitz_t=0.0 if amp == 0.0 else lip)
 
 
 def _constant_birth(d, beta):
     mat = float(beta) * np.eye(d)
     if beta < 0:
         raise ValidationError("birth rate beta must be nonnegative")
-    return BirthKernel(d, lambda ages: _broadcast(mat, ages), label=f"constant(beta={beta})")
+    return BirthKernel(d, lambda ages: _broadcast(mat, ages))
 
 
 def _hat_birth(d, beta, a_max):
@@ -729,7 +716,7 @@ def _hat_birth(d, beta, a_max):
         height = np.maximum(0.0, 1.0 - np.abs(ages - peak) / peak)
         return (float(beta) * height)[:, None, None] * eye
 
-    return BirthKernel(d, evaluate, label=f"hat(beta={beta})")
+    return BirthKernel(d, evaluate)
 
 
 # kind -> (builder(d, a_max, **params), {param: default})
@@ -753,8 +740,7 @@ _REFERENCE_KINDS = {
     "zero": lambda d: np.zeros((d, d)),
 }
 _REQUIRED_KEYS = ("dim", "a_max", "n_age", "T", "n_time", "operator", "birth")
-_SCENARIO_KEYS = (*_REQUIRED_KEYS, "norm", "tolerances", "s_max_factor",
-                  "reference_operator", "label")
+_SCENARIO_KEYS = (*_REQUIRED_KEYS, "norm", "tolerances", "reference_operator", "label")
 
 
 def _mapping(spec, name):
@@ -814,7 +800,7 @@ def build_scenario(config):
 
     Either ``{"preset": name, ...overrides}`` or a full custom description
     with the keys dim, a_max, n_age, T, n_time, operator, birth and optional
-    norm, tolerances, s_max_factor, reference_operator, label.  Every
+    norm, tolerances, reference_operator, label.  Every
     number must be a finite real number, dim, n_age and n_time whole
     numbers >= 1, and label a string.  An unknown key, kind or preset, a
     missing key, a section that is not a mapping or a value that fails
@@ -856,7 +842,6 @@ def build_scenario(config):
         tolerances=Tolerances(
             **{k: _number(v, f"tolerances.{k}") for k, v in tol_spec.items()}
         ),
-        s_max_factor=_number(config.get("s_max_factor", 10.0), "s_max_factor"),
         label=label,
     )
 

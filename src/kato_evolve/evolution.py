@@ -304,18 +304,18 @@ def s_derivative_residual(scenario, t, s, psi, h, tol=1e-6):
     return state_norm(scenario, psi.with_values(quotient + moved_gen.value.values))
 
 
-def convergence_study(scenario, t, s, phi, n_values=None):
+def convergence_study(scenario, t, s, phi):
     """Gap table of the doubling ladder: rows (n, gap to level 2n, rate).
 
-    The rate column holds log2 of the previous gap over the current one
-    (nan for the first row and wherever either gap sits at the ladder's
-    rounding floor: ``FLOOR_FACTOR`` times the largest norm of phi and of
-    the pair, as in :func:`apply_evolution`).  For fields Lipschitz in time
-    the gaps decay at first order, rate near 1.
+    n runs over :func:`allowed_partitions` but the last (kept when it is
+    the only one).  The rate column holds log2 of the previous gap over the
+    current one (nan for the first row and wherever either gap sits at the
+    ladder's rounding floor: ``FLOOR_FACTOR`` times the largest norm of phi
+    and of the pair, as in :func:`apply_evolution`).  For fields Lipschitz
+    in time the gaps decay at first order, rate near 1.
     """
-    if n_values is None:
-        n_values = allowed_partitions(scenario)
-        n_values = n_values[:-1] if len(n_values) > 1 else n_values
+    n_values = allowed_partitions(scenario)
+    n_values = n_values[:-1] if len(n_values) > 1 else n_values
     phi_norm = state_norm(scenario, phi)
     level = _levels(scenario, t, s, phi)
     rows = []

@@ -41,7 +41,6 @@ class OracleTrajectory:
 
     times: tuple
     states: tuple
-    step: float
 
     @property
     def final(self):
@@ -80,7 +79,7 @@ def solve_direct(scenario, phi, t_end):
         values[0] = birth_quadrature(scenario, values)
         times.append(t_new)
         states.append(StateVector(g, values))
-    return OracleTrajectory(tuple(times), tuple(states), step)
+    return OracleTrajectory(tuple(times), tuple(states))
 
 
 @dataclass(frozen=True)

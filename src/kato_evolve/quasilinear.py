@@ -21,7 +21,6 @@ from .core import (
     _matrix_norms,
     _state_distance,
     graph_state_norm,
-    lp_age_norm,
     make_profile,
     state_norm,
 )
@@ -51,21 +50,20 @@ class QuasilinearProblem:
     generator matrices felt over the 1-d age array ``ages`` at time t by a
     population whose current profile is v: the contract of
     ``OperatorField.evaluate`` with the state in front.  ``lipschitz_l``
-    bounds the state sensitivity of that map in the base norm,
-    ``ball_radius`` and ``ball_center`` fix the trust ball, and ``lp_mode``
-    (p, n_zero), when set, additionally confines iterates in the discrete
-    L_p-in-age norm.  ``lipschitz_t``, when declared, bounds the time
-    sensitivity t -> A(v, t) in the operator norm at any fixed state of the
-    ball; a frozen trajectory's field adds the state drift to it, and 0.0
-    on a constant iterate lets the evolution ladder stop at one level.
-    None (the default) declares nothing and every iterate runs the ladder.
+    bounds the state sensitivity of that map in the base norm, and
+    ``ball_radius`` and ``ball_center`` fix the trust ball, the state-norm
+    ball that every iterate must stay in.  ``lipschitz_t``, when declared,
+    bounds the time sensitivity t -> A(v, t) in the operator norm at any
+    fixed state of the ball; a frozen trajectory's field adds the state
+    drift to it, and 0.0 on a constant iterate lets the evolution ladder
+    stop at one level.  None (the default) declares nothing and every
+    iterate runs the ladder.
     """
 
     operator_of_state: object
     lipschitz_l: float
     ball_radius: float
     ball_center: StateVector
-    lp_mode: tuple = None
     lipschitz_t: float | None = None
 
     def __post_init__(self):
@@ -73,14 +71,6 @@ class QuasilinearProblem:
             raise ValidationError("lipschitz_l must be a positive real")
         if not (np.isfinite(self.ball_radius) and self.ball_radius > 0):
             raise ValidationError("ball_radius must be a positive real")
-        if self.lp_mode is not None:
-            if len(self.lp_mode) != 2:
-                raise ValidationError("lp_mode must be a (p, n_zero) pair")
-            p, n_zero = self.lp_mode
-            if not (np.isfinite(p) and p > 1):
-                raise ValidationError("lp_mode exponent must exceed 1")
-            if not (np.isfinite(n_zero) and n_zero > 0):
-                raise ValidationError("lp_mode n_zero must be positive")
         if self.lipschitz_t is not None and not (
             np.isfinite(self.lipschitz_t) and self.lipschitz_t >= 0
         ):
@@ -165,8 +155,7 @@ def check_lipschitz(problem, scenario, samples=8, seed=0):
 def _ball_sample(scenario, problem, rng):
     g = scenario.age_grid
     raw = rng.standard_normal((g.n_age + 1, scenario.dim))
-    probe = problem.ball_center.with_values(raw)
-    scale = state_norm(scenario, probe.with_values(raw))
+    scale = state_norm(scenario, problem.ball_center.with_values(raw))
     if scale == 0.0:
         return problem.ball_center
     radius = problem.ball_radius * float(rng.uniform(0.1, 1.0))
@@ -254,7 +243,7 @@ def _trajectory_field(scenario, problem, times, states):
             blended = (1.0 - w) * values[j] + w * values[j + 1]
         return problem.operator_of_state(StateVector(scenario.age_grid, blended), t, ages)
 
-    return OperatorField(scenario.dim, evaluate, lipschitz_t=lipschitz_t, label="state-coupled")
+    return OperatorField(scenario.dim, evaluate, lipschitz_t=lipschitz_t)
 
 
 def _picard_step(scenario, problem, times, states, tol):
@@ -271,16 +260,10 @@ def _trajectory_gap(scenario, new_states, old_states, times):
 
 
 def _confined(scenario, problem, states):
-    """Whether every state stays in the trust ball (and the L_p ball, if set)."""
+    """Whether every state stays in the trust ball."""
     phi = problem.ball_center
-    if any(_state_distance(scenario, s, phi) > problem.ball_radius * (1 + 1e-12)
-           for s in states):
-        return False
-    if problem.lp_mode is None:
-        return True
-    p, n_zero = problem.lp_mode
-    cap = (n_zero + problem.ball_radius) * lp_age_norm(scenario, phi, p)
-    return all(lp_age_norm(scenario, s, p) <= cap * (1 + 1e-12) for s in states)
+    return not any(_state_distance(scenario, s, phi) > problem.ball_radius * (1 + 1e-12)
+                   for s in states)
 
 
 def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"):
@@ -304,12 +287,6 @@ def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"
     phi = problem.ball_center
     if phi.grid != scenario.age_grid:
         raise ValidationError("ball_center lives on a different age grid")
-    if problem.lp_mode is not None:
-        p, n_zero = problem.lp_mode
-        if n_zero + problem.ball_radius < 1.0:
-            raise ValidationError(
-                "lp_mode cannot confine the center profile: n_zero + radius < 1"
-            )
     dt = scenario.time_grid.step
     n_time = scenario.time_grid.n_time
     for halvings in range(n_time.bit_length()):
@@ -359,7 +336,7 @@ def fixed_point_residual(scenario, problem, trajectory, tol=1e-6):
     return gap
 
 
-def norm_coupled_diffusion(scenario, epsilon, radius, center=None, lp_mode=None):
+def norm_coupled_diffusion(scenario, epsilon, radius, center=None):
     """Coupling family scaling the scenario field by 1 + epsilon |v|.
 
     The declared Lipschitz constant is epsilon times the largest field
@@ -395,6 +372,5 @@ def norm_coupled_diffusion(scenario, epsilon, radius, center=None, lp_mode=None)
         lipschitz_l=max(epsilon * peak, 1e-12),
         ball_radius=radius,
         ball_center=phi,
-        lp_mode=lp_mode,
         lipschitz_t=base_t,
     )

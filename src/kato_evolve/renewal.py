@@ -55,7 +55,6 @@ __all__ = [
 class BirthTrajectory:
     """Newborn flux values B(k * step) for k = 0 .. K, shape (K+1, d)."""
 
-    frozen_time: float
     step: float
     values: np.ndarray
 
@@ -138,15 +137,15 @@ def solve_birth(scenario, t, phi, s_max):
 
     Trajectories are kept per profile in the frozen-time record at t and
     extended in place when a longer horizon is requested later.  ``s_max``
-    must be node aligned and below the scenario's configured trajectory cap.
+    must be node aligned and at most ``scenario.s_max``, ten maximal ages.
     """
     g = scenario.age_grid
     if s_max < 0:
         raise ValidationError("s_max must be nonnegative")
     if s_max > scenario.s_max * (1 + 1e-12):
         raise ValidationError(
-            f"s_max = {s_max!r} exceeds the configured cap {scenario.s_max!r} "
-            "(raise s_max_factor in the scenario)"
+            f"s_max = {s_max!r} exceeds the trajectory cap {scenario.s_max!r} "
+            "(ten maximal ages)"
         )
     n_steps = g.index_of(s_max, "trajectory horizon")
     frozen = _frozen(scenario, t)
@@ -155,7 +154,7 @@ def solve_birth(scenario, t, phi, s_max):
     if cached is not None and cached.n_steps >= n_steps:
         if cached.n_steps == n_steps:
             return cached
-        return BirthTrajectory(t, g.step, cached.values[: n_steps + 1])
+        return BirthTrajectory(g.step, cached.values[: n_steps + 1])
     values = np.empty((n_steps + 1, scenario.dim))
     if cached is None:
         known = 0
@@ -165,7 +164,7 @@ def solve_birth(scenario, t, phi, s_max):
         values[: known + 1] = cached.values
     _profile_at(scenario, t, phi.values, values, known)
     values.flags.writeable = False
-    traj = BirthTrajectory(t, g.step, values)
+    traj = BirthTrajectory(g.step, values)
     frozen.keep(key, traj)
     return traj
 

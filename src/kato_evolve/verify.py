@@ -157,7 +157,7 @@ def run_verification(scenario, seed=0, tol=1e-3):
 
     def worst_margin(margin_of, *args, detail="8 random plans, 5% slack"):
         margins = [margin_of(scenario, plan, phi, *args, slack=SLACK) for plan in bound_plans]
-        margin = min(np.inf, *margins)
+        margin = np.min(margins)
         return margin >= 0, margin, detail
 
     def balance():
@@ -169,7 +169,7 @@ def run_verification(scenario, seed=0, tol=1e-3):
         )
 
     def semigroup_law():
-        worst = max(0.0, *(semigroup_property_residual(scenario, *span, phi) for span in spans))
+        worst = np.max([semigroup_property_residual(scenario, *span, phi) for span in spans])
         return within(
             worst,
             scenario.tolerances.semigroup * phi_norm,
@@ -178,7 +178,7 @@ def run_verification(scenario, seed=0, tol=1e-3):
 
     def birth_identity():
         offsets = [(k * base // 6) * h for k in range(1, 6)]
-        worst = max(0.0, *(birth_identity_residual(scenario, 0.0, phi, s) for s in offsets))
+        worst = np.max([birth_identity_residual(scenario, 0.0, phi, s) for s in offsets])
         return within(
             worst,
             scenario.tolerances.volterra,
@@ -194,7 +194,7 @@ def run_verification(scenario, seed=0, tol=1e-3):
             )
             for plan in product_plans
         ]
-        worst = max(0.0, *gaps)
+        worst = np.max(gaps)
         return within(
             worst,
             scenario.tolerances.composition * phi_norm,

@@ -7,11 +7,14 @@ serves the tests as a reference and is never loaded by the package.
 import ast
 import inspect
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import kato_evolve as ke
+from kato_evolve import core
 
 
 def _own_docstring(obj):
@@ -135,3 +138,31 @@ def test_src_lines_fit_in_100_characters():
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > 100]
     assert long == []
+
+
+def _readme_bullet(section, start):
+    """The README bullet that begins with ``start``, after it, on one line."""
+    match = re.search(rf"^- {re.escape(start)}(.*?)(?=^- |^\S|\Z)", section, re.M | re.S)
+    return " ".join(match.group(1).split())
+
+
+def _named_with_parameters(text):
+    """{name: [names in its parentheses]} for each ``name`` (...) of a README list."""
+    return {name: re.findall(r"`(\w+)`", inner)
+            for name, inner in re.findall(r"`(\w+)`(?: \(([^)]*)\))?", text)}
+
+
+def test_readme_scenario_section_names_what_the_parser_reads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    ke.build_scenario(example)
+    for name, table in (("operator", core._OPERATOR_KINDS), ("birth", core._BIRTH_KINDS)):
+        kinds = _named_with_parameters(_readme_bullet(section, f"`{name}.kind`:"))
+        assert kinds == {kind: list(defaults) for kind, (_, defaults) in table.items()}
+    norms = _named_with_parameters(_readme_bullet(section, "`norm`:"))
+    assert tuple(norms) == core._NORM_TAGS
+    optional = _named_with_parameters(_readme_bullet(section, "Optional:"))
+    assert set(example) | set(optional) == set(core._SCENARIO_KEYS)
+    assert optional["tolerances"] == [f.name for f in fields(ke.Tolerances)]
+    assert optional["reference_operator"] == list(core._REFERENCE_KINDS)

@@ -125,7 +125,7 @@ def test_rejected_scenario_key(capsys, tmp_path):
         ({"operator": {"kind": "scalar_mortality", "mu": "x"}}, "operator.mu"),
         ({"tolerances": {"volterra": "1e-3"}}, "tolerances.volterra"),
         ({"reference_operator": [["a"]]}, "reference_operator"),
-        ({"s_max_factor": "x"}, "s_max_factor"),
+        ({"s_max_factor": 10}, "s_max_factor"),
         ({"dim": 1.5}, "dim"),
         ({"dim": -1}, "dim"),
         ({"operator": {"kind": [1]}}, "operator.kind"),

@@ -71,7 +71,7 @@ def test_build_scenario_missing_field():
 @pytest.mark.parametrize(
     "override, field, problem",
     [
-        ({"s_max_factor": float("inf")}, "s_max_factor", "finite"),
+        ({"a_max": float("inf")}, "a_max", "finite"),
         ({"tolerances": {"volterra": float("nan")}}, "tolerances.volterra", "finite"),
         ({"operator": {"kind": "scalar_mortality", "mu": float("-inf")}}, "operator.mu",
          "finite"),
@@ -82,7 +82,7 @@ def test_build_scenario_missing_field():
         ({"operator": {"kind": "scalar_mortality", "mu": "x"}}, "operator.mu", "number"),
         ({"tolerances": {"volterra": "1e-3"}}, "tolerances.volterra", "number"),
         ({"reference_operator": [["a"]]}, "reference_operator.0.0", "number"),
-        ({"s_max_factor": "x"}, "s_max_factor", "number"),
+        ({"T": "x"}, "T", "number"),
         ({"dim": 1.5}, "dim", "whole"),
         ({"dim": -1}, "dim", "whole"),
         ({"operator": {"kind": [1]}}, "operator.kind", "one"),
@@ -103,8 +103,6 @@ def test_tolerances_reject_non_finite_and_non_positive_values(bad):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("s_max_factor", math.nan),
-        ("s_max_factor", math.inf),
         ("reference_operator", [[math.nan]]),
         ("reference_operator", [[math.inf]]),
     ],
@@ -112,6 +110,15 @@ def test_tolerances_reject_non_finite_and_non_positive_values(bad):
 def test_scenario_rejects_non_finite_fields(scal0, field, value):
     with pytest.raises(ke.ValidationError, match=f"{field} must be finite"):
         dataclasses.replace(scal0, caches={}, **{field: value})
+
+
+def test_scenario_rejects_a_field_of_another_dimension(qdiff):
+    zeros = lambda ages: np.zeros((len(ages), 3, 3))
+    parts = {"operator": ke.OperatorField(3, lambda t, ages: zeros(ages)),
+             "birth": ke.BirthKernel(3, zeros)}
+    for field, part in parts.items():
+        with pytest.raises(ke.ValidationError, match=f"^{field} dim 3 differs from scenario dim 16$"):
+            dataclasses.replace(qdiff, caches={}, **{field: part})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
@@ -276,10 +283,10 @@ def test_whole_grid_norms_match_nodewise_loops(qdiff, tag):
                              for v in phi.values])
     rtol = 64 * np.finfo(float).eps
     assert ke.state_norm(sc, phi) == pytest.approx(g.step * g.weights @ base, rel=rtol)
+    assert ke.graph_state_norm(sc, phi) == pytest.approx(g.step * g.weights @ graph, rel=rtol)
     for p in (1.0, 3.0):
-        for ell, per_node in ((0, base), (1, graph)):
-            expected = (g.step * g.weights @ per_node**p) ** (1.0 / p)
-            assert ke.lp_age_norm(sc, phi, p, ell) == pytest.approx(expected, rel=rtol)
+        expected = (g.step * g.weights @ base**p) ** (1.0 / p)
+        assert ke.lp_age_norm(sc, phi, p) == pytest.approx(expected, rel=rtol)
     bmats = sc.birth_matrices()
     loop = g.step * sum(w * (b @ v) for w, b, v in zip(g.weights, bmats, phi.values))
     assert np.allclose(ke.birth_quadrature(sc, phi.values), loop, rtol=rtol, atol=0.0)

@@ -29,7 +29,6 @@ def test_trajectory_shape(scal0):
     assert len(traj.times) == 11
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.1)
-    assert traj.step == scal0.age_grid.step
     assert traj.final is traj.states[-1]
     assert traj.states[0] is phi
 

@@ -109,3 +109,18 @@ def test_unconverged_picard_leg_is_reported_not_raised(qdiff, monkeypatch):
     assert picard.detail == "Picard iteration did not contract (forced)"
     assert by_name["lipschitz_spot_check"].status == "pass"
     assert report.failures == 1
+
+
+def test_a_nan_residual_or_margin_fails_its_check(qdiff, monkeypatch):
+    # a NaN anywhere in a folded residual or margin list must not be
+    # dropped by the fold and read as a pass
+    nan = lambda *args, **kwargs: math.nan
+    for name in ("semigroup_property_residual", "birth_identity_residual",
+                 "_state_distance", "stability_margin"):
+        monkeypatch.setattr(verify, name, nan)
+    report = ke.run_verification(qdiff, seed=0)
+    by_name = {c.name: c for c in report.checks}
+    for name in ("semigroup_law", "birth_identity", "product_equivalence",
+                 "transport_bound_margin"):
+        assert by_name[name].status == "fail"
+        assert math.isnan(by_name[name].margin)
