@@ -45,8 +45,5 @@ print(f"semigroup pipeline slope:  {slope:.10f}  (off by {abs(slope - r_star) / 
 traj = ke.solve_direct(sc, phi, 10.0)
 k8 = sc.age_grid.index_of(8.0, "time")
 k10 = sc.age_grid.index_of(10.0, "time")
-slope = (
-    math.log(ke.state_norm(sc, traj.states[k10]))
-    - math.log(ke.state_norm(sc, traj.states[k8]))
-) / 2.0
+slope = (math.log(traj.norms[k10]) - math.log(traj.norms[k8])) / 2.0
 print(f"direct stepper slope:      {slope:.10f}  (off by {abs(slope - r_star) / r_star:.2%})")

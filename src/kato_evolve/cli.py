@@ -341,9 +341,7 @@ def _cmd_oracle(args, scenario, phi):
         "final_norm": state_norm(scenario, trajectory.final),
         "min_value": float(np.min(trajectory.final.values)),
     }
-    rows = [
-        (t, state_norm(scenario, u)) for t, u in zip(trajectory.times, trajectory.states)
-    ]
+    rows = list(zip(trajectory.times, trajectory.norms))
     files = [
         ("oracle_trajectory.csv", ["t", "norm"], rows),
         (

@@ -190,16 +190,17 @@ class StateVector:
         return StateVector(self.grid, values)
 
 
-def _sample(evaluate, ages, dim, what, at=""):
-    """evaluate(ages) as one (len(ages), d, d) stack, copied and checked once.
+def _sample(evaluate, ages, dim, what, at="", out=None):
+    """evaluate(ages) as one (len(ages), d, d) stack, checked once.
 
     A wrong shape or a non-finite entry at any age raises ValidationError;
     the finiteness message names the first bad age.  Overflow inside the
     evaluator is left to that message instead of a warning of its own.
+    The stack is copied into ``out`` when given, else into a new array.
     """
     ages = np.asarray(ages, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = np.array(evaluate(ages), dtype=float)
+        stack = np.asarray(evaluate(ages), dtype=float)
     if stack.shape != (len(ages), dim, dim):
         raise ValidationError(
             f"{what} returned shape {stack.shape}, expected {(len(ages), dim, dim)}"
@@ -209,7 +210,10 @@ def _sample(evaluate, ages, dim, what, at=""):
         raise ValidationError(
             f"{what} is not finite at {at}a={float(ages[np.argmin(finite)])!r}"
         )
-    return stack
+    if out is None:
+        return np.array(stack)
+    out[...] = stack
+    return out
 
 
 @dataclass(frozen=True)
@@ -237,8 +241,12 @@ class OperatorField:
 
     def sample(self, t, ages):
         """The frozen field A(t, a) at every age in ``ages``, (len(ages), d, d)."""
+        return self._sample_into(t, ages, None)
+
+    def _sample_into(self, t, ages, out):
+        """``sample`` written into ``out``, a (len(ages), d, d) buffer, when given."""
         return _sample(lambda a: self.evaluate(t, a), ages, self.dim,
-                       "operator field", f"t={t!r}, ")
+                       "operator field", f"t={t!r}, ", out)
 
     def __call__(self, t, a):
         return self.sample(t, (a,))[0]

@@ -307,15 +307,16 @@ def s_derivative_residual(scenario, t, s, psi, h, tol=1e-6):
 def convergence_study(scenario, t, s, phi):
     """Gap table of the doubling ladder: rows (n, gap to level 2n, rate).
 
-    n runs over :func:`allowed_partitions` but the last (kept when it is
-    the only one).  The rate column holds log2 of the previous gap over the
-    current one (nan for the first row and wherever either gap sits at the
-    ladder's rounding floor: ``FLOOR_FACTOR`` times the largest norm of phi
-    and of the pair, as in :func:`apply_evolution`).  For fields Lipschitz
-    in time the gaps decay at first order, rate near 1.
+    n runs over :func:`allowed_partitions` but the last, so a horizon of
+    one partition cell, with no pair of levels to compare, gives no rows
+    (s and t are still checked).  The rate column holds log2 of the
+    previous gap over the current one (nan for the first row and wherever
+    either gap sits at the ladder's rounding floor: ``FLOOR_FACTOR`` times
+    the largest norm of phi and of the pair, as in :func:`apply_evolution`).
+    For fields Lipschitz in time the gaps decay at first order, rate near 1.
     """
-    n_values = allowed_partitions(scenario)
-    n_values = n_values[:-1] if len(n_values) > 1 else n_values
+    approximant_plan(scenario, 1, t, s)  # checks s and t when no level is built
+    n_values = allowed_partitions(scenario)[:-1]
     phi_norm = state_norm(scenario, phi)
     level = _levels(scenario, t, s, phi)
     rows = []

@@ -6,8 +6,11 @@ first-order split: exact shift along characteristics, one implicit step of
 the reaction/diffusion field at every node, then the boundary node is
 refilled from the birth quadrature of the profile as it stands (so the
 boundary enters with a one-step lag, the main first-order error source).
-The implicit step samples the field over the whole age grid and takes one
-batched solve; it caches nothing, so every field takes the same path.
+The implicit step samples the field over the whole age grid into one
+buffer kept for the run and takes one batched solve; it caches nothing, so
+every field takes the same path.  A run keeps the state norm of every step
+and the final state only, so its memory does not grow with the number of
+steps.
 Agreement with the evolution pipeline under joint refinement is the
 strongest end-to-end evidence the package produces.
 """
@@ -24,6 +27,7 @@ from .core import (
     _state_distance,
     birth_quadrature,
     refine_scenario,
+    state_norm,
 )
 from .evolution import apply_evolution
 
@@ -37,14 +41,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleTrajectory:
-    """States of the direct solver at multiples of the age step."""
+    """What a direct run keeps: its step times, the state norm at each, the last state.
+
+    ``times`` and ``norms`` run over every multiple of the age step from 0
+    to t_end, ``norms[k]`` being :func:`state_norm` of the state at
+    ``times[k]``; ``final`` is the state at t_end (phi itself for a run of
+    no steps).  The intermediate states are not kept.
+    """
 
     times: tuple
-    states: tuple
-
-    @property
-    def final(self):
-        return self.states[-1]
+    norms: tuple
+    final: StateVector
 
 
 def solve_direct(scenario, phi, t_end):
@@ -53,8 +60,11 @@ def solve_direct(scenario, phi, t_end):
     One step per age step: shift every node up one slot (the boundary slot
     keeps its previous value), apply the implicit operator step at every
     node as one batched solve with I - step * A(t_new, a_i), then overwrite
-    the boundary node with the birth quadrature of the profile.  Returns the
-    states at all step multiples, starting from phi.
+    the boundary node with the birth quadrature of the profile.  The field
+    is sampled into one matrix buffer and the shifted profile written into
+    one right-hand-side buffer, both reused at every step.  Returns the step
+    times, the state norm at each of them and the final state; a non-finite
+    state raises ValidationError at the step that makes it.
     """
     g = scenario.age_grid
     horizon = scenario.time_grid.horizon
@@ -63,23 +73,26 @@ def solve_direct(scenario, phi, t_end):
     n_steps = g.index_of(t_end, "end time")
     _check_profile_shape(scenario, phi.values)
     step = g.step
+    nodes = g.nodes
     eye = np.eye(scenario.dim)
-    values = np.array(phi.values, dtype=float)
+    implicit = np.empty((len(nodes), scenario.dim, scenario.dim))
+    shifted = np.empty((len(nodes), scenario.dim, 1))
+    state = phi
     times = [0.0]
-    states = [phi]
+    norms = [state_norm(scenario, phi)]
     for k in range(1, n_steps + 1):
         t_new = k * step
-        shifted = np.empty_like(values)
-        shifted[1:] = values[:-1]
-        shifted[0] = values[0]
-        implicit = scenario.operator.sample(t_new, g.nodes)  # a private copy
+        shifted[1:, :, 0] = state.values[:-1]
+        shifted[0, :, 0] = state.values[0]
+        scenario.operator._sample_into(t_new, nodes, implicit)
         implicit *= -step
         implicit += eye
-        values = np.linalg.solve(implicit, shifted[:, :, None])[:, :, 0]
+        values = np.linalg.solve(implicit, shifted)[:, :, 0]
         values[0] = birth_quadrature(scenario, values)
+        state = StateVector(g, values)
         times.append(t_new)
-        states.append(StateVector(g, values))
-    return OracleTrajectory(tuple(times), tuple(states))
+        norms.append(state_norm(scenario, state))
+    return OracleTrajectory(tuple(times), tuple(norms), state)
 
 
 @dataclass(frozen=True)

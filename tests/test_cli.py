@@ -322,6 +322,19 @@ def test_convergence_study_csv(capsys, tmp_path):
     assert [rate is None for _, _, rate in payload["rows"]] == [True, True] + [False] * 4
 
 
+def test_convergence_study_over_one_partition_cell(capsys, tmp_path):
+    path = tmp_path / "one_cell.json"
+    path.write_text(json.dumps({"preset": "QDIFF", "T": 0.03125, "n_time": 1}))
+    out_dir = tmp_path / "study"
+    code, out, _ = run(
+        capsys, "convergence-study", "--scenario", str(path), "--t", "0.03125",
+        "--out", str(out_dir),
+    )
+    assert code == 0
+    assert json.loads(out)["rows"] == []
+    assert (out_dir / "convergence_study.csv").read_text().splitlines() == ["n,gap,rate"]
+
+
 def test_evolve_reports_the_scenario_eta(capsys):
     assert "eta" not in {f.name for f in dataclasses.fields(ke.EvolutionResult)}
     code, out, _ = run(capsys, "evolve", "--preset", "QDIFF", "--t", "0.25", "--tol", "1e-3")

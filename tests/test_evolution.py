@@ -180,6 +180,16 @@ def test_convergence_study_shape_and_rates(diff1, tilted, monkeypatch):
         assert 1.6 < gaps[n] / gaps[2 * n] < 2.4
 
 
+def test_convergence_study_over_one_partition_cell_has_no_rows():
+    sc = ke.build_scenario({"preset": "QDIFF", "T": 0.03125, "n_time": 1})
+    phi = ke.make_profile(sc, "tilted")
+    assert ke.allowed_partitions(sc) == [1]
+    assert ke.convergence_study(sc, 0.03125, 0.0, phi) == []
+    # no level is built, yet the span is still checked
+    with pytest.raises(ke.ValidationError, match="need 0 <= s <= t <= horizon"):
+        ke.convergence_study(sc, 0.0625, 0.0, phi)
+
+
 def test_evolution_bound_margin_nonnegative(diff1, tilted):
     for t in (0.25, 0.5, 0.875):
         margin = ke.evolution_bound_margin(diff1, t, 0.0, tilted, tol=1e-4, slack=0.05)

@@ -1,6 +1,8 @@
 """Direct characteristics stepper and its agreement with the main pipeline."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,10 +29,46 @@ def test_trajectory_shape(scal0):
     phi = ke.make_profile(scal0, "ones")
     traj = ke.solve_direct(scal0, phi, 0.1)
     assert len(traj.times) == 11
+    assert len(traj.norms) == len(traj.times)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.1)
-    assert traj.final is traj.states[-1]
-    assert traj.states[0] is phi
+    assert traj.norms[0] == ke.state_norm(scal0, phi)
+    assert traj.norms[-1] == ke.state_norm(scal0, traj.final)
+    still = ke.solve_direct(scal0, phi, 0.0)
+    assert still.times == (0.0,)
+    assert still.norms == (ke.state_norm(scal0, phi),)
+    assert still.final is phi
+
+
+def test_a_long_march_holds_one_state_of_memory(scal0):
+    # 1,000 steps of 101 nodes: keeping every state would retain about 1 MB
+    phi = ke.make_profile(scal0, "ones")
+    ke.solve_direct(scal0, phi, 0.1)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        traj = ke.solve_direct(scal0, phi, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 1001
+    assert peak < 256 * 1024
+
+
+def test_a_state_that_overflows_fails_at_its_step(scal0):
+    # I - h A = 1e-12 multiplies the profile by about 1e12 a step, so the
+    # state overflows at step 26 and the march stops there
+    h = scal0.age_grid.step
+    called = []
+
+    def evaluate(t, ages):
+        called.append(t)
+        return np.full((len(ages), 1, 1), (1 - 1e-12) / h)
+
+    operator = dataclasses.replace(scal0.operator, evaluate=evaluate)
+    sc = dataclasses.replace(scal0, operator=operator, caches={})
+    with pytest.raises(ke.ValidationError, match="state values must be finite"):
+        ke.solve_direct(sc, ke.make_profile(sc, "ones"), 0.5)
+    assert called == [k * h for k in range(1, 27)]
 
 
 def test_pure_transport_with_empty_boundary_is_exact():
@@ -102,10 +140,13 @@ def test_solve_direct_matches_nodewise_inverse_march(name):
         ])
         values[0] = ke.birth_quadrature(sc, values)
         reference.append(values)
+    scale = np.max(np.abs(reference))
+    for k in range(1, n_steps + 1):
+        got = ke.solve_direct(sc, phi, k * h).final.values
+        assert np.max(np.abs(got - reference[k])) <= 1e-13 * scale
+    norms = np.array([ke.state_norm(sc, phi.with_values(v)) for v in reference])
     direct = ke.solve_direct(sc, phi, n_steps * h)
-    got = np.stack([state.values for state in direct.states])
-    reference = np.stack(reference)
-    assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+    assert np.max(np.abs(np.array(direct.norms) - norms)) <= 1e-13 * np.max(norms)
 
 
 def test_compare_discrepancy_shrinks_first_order(scal0):
