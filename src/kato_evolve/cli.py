@@ -172,14 +172,10 @@ def _json_clean(obj):
     return obj
 
 
-def _state_rows(state):
-    return [
-        (a, *state.values[i]) for i, a in enumerate(state.grid.nodes)
-    ]
-
-
-def _state_header(d):
-    return ["age"] + [f"c{j}" for j in range(d)]
+def _state_file(name, state):
+    """CSV file ``name`` of a state: one row per age node, one column per component."""
+    header = ["age"] + [f"c{j}" for j in range(state.values.shape[1])]
+    return name, header, [(a, *state.values[i]) for i, a in enumerate(state.grid.nodes)]
 
 
 def _cmd_semigroup(args, scenario, phi):
@@ -193,7 +189,7 @@ def _cmd_semigroup(args, scenario, phi):
         "norm_out": state_norm(scenario, moved),
         "law_residual": residual,
     }
-    files = [("semigroup_state.csv", _state_header(scenario.dim), _state_rows(moved))]
+    files = [_state_file("semigroup_state.csv", moved)]
     return payload, files
 
 
@@ -231,7 +227,7 @@ def _cmd_product(args, scenario, phi):
         "birth_chain_margin": birth_chain_margin(scenario, plan, phi),
         "lp_bound_margin": lp_stability_margin(scenario, plan, phi, 2.0),
     }
-    files = [("product_state.csv", _state_header(scenario.dim), _state_rows(direct))]
+    files = [_state_file("product_state.csv", direct)]
     return payload, files
 
 
@@ -247,9 +243,7 @@ def _cmd_evolve(args, scenario, phi):
         "gaps": [[n, g] for n, g in result.gaps],
         "norm_out": state_norm(scenario, result.value),
     }
-    files = [
-        ("evolve_state.csv", _state_header(scenario.dim), _state_rows(result.value))
-    ]
+    files = [_state_file("evolve_state.csv", result.value)]
     return payload, files
 
 
@@ -288,11 +282,7 @@ def _cmd_forced(args, scenario, phi):
     ]
     files = [
         ("forced_trajectory.csv", ["t", "norm"], norm_rows),
-        (
-            "forced_state.csv",
-            _state_header(scenario.dim),
-            _state_rows(trajectory.final),
-        ),
+        _state_file("forced_state.csv", trajectory.final),
     ]
     return payload, files
 
@@ -324,11 +314,7 @@ def _cmd_quasilinear(args, scenario, phi):
     ]
     files = [
         ("quasilinear_trajectory.csv", ["t", "norm", "drift"], rows),
-        (
-            "quasilinear_state.csv",
-            _state_header(scenario.dim),
-            _state_rows(trajectory.final),
-        ),
+        _state_file("quasilinear_state.csv", trajectory.final),
     ]
     return payload, files
 
@@ -344,11 +330,7 @@ def _cmd_oracle(args, scenario, phi):
     rows = list(zip(trajectory.times, trajectory.norms))
     files = [
         ("oracle_trajectory.csv", ["t", "norm"], rows),
-        (
-            "oracle_state.csv",
-            _state_header(scenario.dim),
-            _state_rows(trajectory.final),
-        ),
+        _state_file("oracle_state.csv", trajectory.final),
     ]
     return payload, files
 

@@ -347,10 +347,6 @@ def matrix_norm(mat, tag):
     return float(_matrix_norms(np.asarray(mat, dtype=float), tag))
 
 
-class _Caches(dict):
-    """The per-operator store that one scenario owns."""
-
-
 @dataclass(frozen=True, eq=False)
 class _KernelRecord:
     """What the birth kernel, the age grid and the reference operator fix.
@@ -452,11 +448,10 @@ class Scenario:
     directions and the boundary correction) is kept apart in a kernel
     record, which a scenario under another operator field shares.  Both
     are built on first use and are no part of equality; all public
-    operations are pure functions of the visible fields.  A scenario
-    starts from the entries of a passed plain ``caches`` dict, but empty
-    when handed another scenario's store, and with a kernel record of its
-    own, so ``dataclasses.replace`` never reads a value built from the
-    fields it replaced.
+    operations are pure functions of the visible fields.  Every scenario
+    starts with an empty store, whatever ``caches`` it is passed, and with
+    a kernel record of its own, so ``dataclasses.replace`` never reads a
+    value built from the fields it replaced.
     """
 
     age_grid: AgeGrid
@@ -488,8 +483,7 @@ class Scenario:
                 raise ValidationError(f"{name} dim {part.dim} differs from scenario dim {self.dim}")
         # Time steps must land on age nodes so transport stays node-aligned.
         self.age_grid.index_of(self.time_grid.step, "time grid step")
-        caches = {} if isinstance(self.caches, _Caches) else self.caches
-        object.__setattr__(self, "caches", _Caches(caches))
+        object.__setattr__(self, "caches", {})
         object.__setattr__(self, "_kernel", _KernelRecord(
             self.birth, self.age_grid, self.dim, self.norm, self.reference_operator))
         if np.any(self.birth_matrices() < 0):
@@ -503,7 +497,7 @@ class Scenario:
         """This scenario under another operator field: an empty store, the same kernel record."""
         swapped = copy.copy(self)
         object.__setattr__(swapped, "operator", operator)
-        object.__setattr__(swapped, "caches", _Caches())
+        object.__setattr__(swapped, "caches", {})
         return swapped
 
     def birth_norm(self, ell):
@@ -945,7 +939,6 @@ def refine_scenario(scenario, factor):
         scenario,
         age_grid=AgeGrid(scenario.age_grid.a_max, scenario.age_grid.n_age * factor),
         time_grid=TimeGrid(scenario.time_grid.horizon, scenario.time_grid.n_time * factor),
-        caches={},
     )
 
 

@@ -74,7 +74,7 @@ def _eval_forcing(scenario, forcing, sigma):
 
 def _march(scenario, phi, times, n, forcing=None):
     """States at each node of ``times``; ``forcing`` adds the half-steps above."""
-    half = 0.5 * (times[1] - times[0])
+    half = 0.5 * (times[1] - times[0]) if len(times) > 1 else 0.0  # one node: no step
     f = None if forcing is None else [_eval_forcing(scenario, forcing, t) for t in times]
     states = [phi]
     current = phi

@@ -188,12 +188,13 @@ def birth_chain_margin(scenario, plan, phi, slack=0.0):
     The last plan entry names the frozen time of the trajectory; the earlier
     entries form the partial product whose flux is bounded.  The bound grows
     with the trajectory span s plus the partial product's total duration;
-    the minimum margin over s = 0, a_max / 2 and a_max is returned.
+    the minimum margin over s = 0, the last age node at or below a_max / 2
+    and a_max is returned.
     """
     m, rate = growth_bound(scenario, 0)
     bnorm = scenario.birth_norm(0)
     g = scenario.age_grid
-    s_values = (0.0, g.a_max / 2, g.a_max)
+    s_values = (0.0, (g.n_age // 2) * g.step, g.a_max)
     prefix_plan_total = float(sum(plan.durations[:-1]))
     state = phi
     if plan.n_factors > 1:

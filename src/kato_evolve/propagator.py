@@ -10,10 +10,11 @@ Step maps follow the exponential midpoint rule: the matrix exponential of
 the midpoint-frozen matrix over each cell (locally second order), so each
 map is an exact frozen-generator semigroup over its cell.
 
-This module owns the scenario's per-operator store (``scenario.caches``).
-It holds one frozen-time record per frozen time t, which owns two things:
-the step maps of every cell at t as one stack of shape (n_age, d, d), and
-the birth trajectories that the renewal module marches at t.  The stack is
+This module owns the scenario's per-operator store (``scenario.caches``),
+which starts empty with every scenario.  It holds one frozen-time record
+per frozen time t, which owns two things: the step maps of every cell at t
+as one stack of shape (n_age, d, d), and the longest birth trajectory per
+profile that the renewal module marched at t.  The stack is
 built by one batched Taylor scaling-and-squaring kernel that needs matrix
 products only (``np.exp`` for d = 1).  The store also keeps the default
 stability constants.  The node chain U_t(a_i, 0) is built only on request
@@ -128,21 +129,12 @@ class _FrozenTime:
     """What the frozen generator A(t) fixes at one time t.
 
     ``steps`` is the read-only (n_age, d, d) stack of the step maps of every
-    cell.  ``trajectories`` holds (profile bytes, BirthTrajectory) pairs,
-    one per profile marched from at t.
+    cell.  ``trajectories`` maps profile bytes to the longest
+    BirthTrajectory marched from that profile at t.
     """
 
     steps: np.ndarray
-    trajectories: list = field(default_factory=list)
-
-    def trajectory(self, profile):
-        """The trajectory kept for ``profile`` (its bytes), or None."""
-        return next((traj for key, traj in self.trajectories if key == profile), None)
-
-    def keep(self, profile, traj):
-        """Keep ``traj`` for ``profile``, in place of any shorter one."""
-        self.trajectories[:] = [pair for pair in self.trajectories if pair[0] != profile]
-        self.trajectories.append((profile, traj))
+    trajectories: dict = field(default_factory=dict)
 
 
 def _frozen(scenario, t):

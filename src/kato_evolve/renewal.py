@@ -16,12 +16,13 @@ M = I - (h/2) b(0) for the unknown B(s_k) at the a = 0 endpoint.  The solve
 takes the near-identity correction form x = rhs + K rhs, where K = M^{-1} - I
 comes once per scenario from its kernel record (Higham 2002, ch. 12): as
 accurate as an LU solve, with numpy alone, where a plain inverse M^{-1} rhs
-is not.  One shift loop, ``_march``, does every step: it reads the frozen
-time's step maps and K once, replays fluxes already known (a warm restart,
-the evolved profile) and solves for the rest; no chain is formed.  The
-march also evolves product plans, each factor restarting it from the
-current profile, with no replay.  Trajectories are kept in the frozen-time
-record of their time (see the propagator module).
+is not.  One shift loop, ``_march``, marches from cold: it reads the
+frozen time's step maps once and solves every step's flux; no chain is
+formed.  The march also evolves product plans, each factor starting it from
+the current profile.  The evolved profile of a kept trajectory comes from
+``_replay``, which runs the same shift with the kept fluxes.  Each profile
+keeps its longest trajectory in the frozen-time record of its time (see the
+propagator module); a longer horizon marches again from cold.
 
 The march is first order at the branch seam for incompatible data and second
 order for balanced profiles; both refine under grid halving.
@@ -80,41 +81,43 @@ def _shift(steps, u):
     u[1:] = np.matmul(steps, u[:-1, :, None])[:, :, 0]
 
 
-def _march(scenario, t, u, fluxes, known=0):
-    """Advance profile u in place by len(fluxes) age steps at frozen time t.
+def _march(scenario, t, u, m):
+    """Advance profile u in place by m age steps at frozen time t, from cold.
 
-    Each step shifts u one age cell through the step maps and refills u[0]
-    with the newborn flux: the first ``known`` steps replay ``fluxes`` as
-    given, the rest solve the boundary system as ``_boundary_solve`` does and
-    store the flux there.
+    u[0] is first set to u's own newborn flux; each step then shifts u one
+    age cell through the step maps and refills u[0] with the flux that
+    ``_boundary_solve`` gives.  Returns the m + 1 fluxes, u's own first.
     """
     steps = _frozen(scenario, t).steps
-    correction = scenario._kernel.boundary_correction if known < len(fluxes) else None
-    for k in range(len(fluxes)):
+    fluxes = np.empty((m + 1, scenario.dim))
+    fluxes[0] = u[0] = birth_quadrature(scenario, u)
+    for k in range(1, m + 1):
         _shift(steps, u)
-        if k >= known:
-            u[0] = 0.0  # slot of the implicit unknown
-            rhs = _birth_quadrature(scenario, u)
-            fluxes[k] = rhs + correction @ rhs
-        u[0] = fluxes[k]
+        u[0] = 0.0  # slot of the implicit unknown
+        fluxes[k] = u[0] = _boundary_solve(scenario, _birth_quadrature(scenario, u))
+    return fluxes
 
 
-def _profile_at(scenario, t, phi_values, fluxes, known):
+def _replay(scenario, t, phi_values, fluxes):
     """The profile evolved from phi over m = len(fluxes) - 1 age steps.
 
-    ``fluxes[0]`` is phi's newborn flux; fluxes 1 .. known are replayed as
-    given and the rest are solved in place.  Nodes i <= m carry
+    ``fluxes`` are phi's kept fluxes, phi's own first; each step shifts the
+    profile and refills node 0 with the next one.  Nodes i <= m carry
     fluxes[m - i] (the diagonal is newborn), nodes i > m carry transported
     phi.  Fluxes older than n_age steps have left the grid, so the replay
-    starts from zeros at step known - n_age when that is positive.
+    starts from zeros at step m - n_age when that is positive.
     """
-    start = max(0, known - scenario.age_grid.n_age)
+    n_age = scenario.age_grid.n_age
+    start = max(0, len(fluxes) - 1 - n_age)
     if start == 0:
         u = np.array(phi_values, dtype=float)
     else:
-        u = np.zeros((scenario.age_grid.n_age + 1, scenario.dim))
+        u = np.zeros((n_age + 1, scenario.dim))
+    steps = _frozen(scenario, t).steps
     u[0] = fluxes[start]
-    _march(scenario, t, u, fluxes[start + 1:], known - start)
+    for flux in fluxes[start + 1:]:
+        _shift(steps, u)
+        u[0] = flux
     return u
 
 
@@ -127,17 +130,17 @@ def _march_plan(scenario, schedule, phi_values):
     u = np.array(phi_values, dtype=float)
     for t, m in schedule:
         if m > 0:
-            u[0] = birth_quadrature(scenario, u)
-            _march(scenario, t, u, np.empty((m, scenario.dim)))
+            _march(scenario, t, u, m)
     return u
 
 
 def solve_birth(scenario, t, phi, s_max):
     """Newborn flux trajectory for initial profile phi at frozen time t.
 
-    Trajectories are kept per profile in the frozen-time record at t and
-    extended in place when a longer horizon is requested later.  ``s_max``
-    must be node aligned and at most ``scenario.s_max``, ten maximal ages.
+    The frozen-time record at t keeps one trajectory per profile.  A kept
+    trajectory at least as long is sliced; otherwise one cold march runs
+    and its trajectory replaces the kept one.  ``s_max`` must be node
+    aligned and at most ``scenario.s_max``, ten maximal ages.
     """
     g = scenario.age_grid
     if s_max < 0:
@@ -148,24 +151,16 @@ def solve_birth(scenario, t, phi, s_max):
             "(ten maximal ages)"
         )
     n_steps = g.index_of(s_max, "trajectory horizon")
-    frozen = _frozen(scenario, t)
+    trajectories = _frozen(scenario, t).trajectories
     key = phi.values.tobytes()
-    cached = frozen.trajectory(key)
-    if cached is not None and cached.n_steps >= n_steps:
-        if cached.n_steps == n_steps:
-            return cached
-        return BirthTrajectory(g.step, cached.values[: n_steps + 1])
-    values = np.empty((n_steps + 1, scenario.dim))
-    if cached is None:
-        known = 0
-        values[0] = birth_quadrature(scenario, phi.values)
-    else:  # warm restart: replay the cached fluxes and march on
-        known = cached.n_steps
-        values[: known + 1] = cached.values
-    _profile_at(scenario, t, phi.values, values, known)
+    kept = trajectories.get(key)
+    if kept is not None and kept.n_steps >= n_steps:
+        if kept.n_steps == n_steps:
+            return kept
+        return BirthTrajectory(g.step, kept.values[: n_steps + 1])
+    values = _march(scenario, t, np.array(phi.values, dtype=float), n_steps)
     values.flags.writeable = False
-    traj = BirthTrajectory(g.step, values)
-    frozen.keep(key, traj)
+    trajectories[key] = traj = BirthTrajectory(g.step, values)
     return traj
 
 
@@ -175,11 +170,9 @@ def branch_values(scenario, t, phi, s):
     Ages at or below s carry propagated newborn values, ages above s carry
     transported initial data; s = 0 returns the profile unchanged.
     """
-    m = scenario.age_grid.index_of(s, "elapsed span")
-    if m == 0:
+    if scenario.age_grid.index_of(s, "elapsed span") == 0:
         return np.array(phi.values, dtype=float)
-    traj = solve_birth(scenario, t, phi, s)
-    return _profile_at(scenario, t, phi.values, traj.values, m)
+    return _replay(scenario, t, phi.values, solve_birth(scenario, t, phi, s).values)
 
 
 def birth_identity_residual(scenario, t, phi, s):

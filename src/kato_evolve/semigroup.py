@@ -10,10 +10,10 @@ discrete jump is accepted.
 On the aligned grid one age step of this action is one shift of the whole
 profile through the frozen time's step maps (kept in its frozen-time record,
 see the propagator module) followed by one boundary solve for node 0.  The
-evolved profile is built by the same shift loop the renewal march runs,
-replaying the march's cached fluxes; no chain U_t(a_i, 0) is
-cached.  The replay serves direct semigroup calls only, where one cached
-trajectory serves many spans; products march without it.  Because the
+evolved profile is built by the same shift the renewal march runs,
+replaying the march's kept fluxes; no chain U_t(a_i, 0) is cached.  The
+replay serves direct semigroup calls only, where one kept trajectory serves
+many spans; products march without it.  Because the
 birth trajectory is defined through the same quadrature and the same loop,
 the semigroup law holds to rounding on the aligned grid (see renewal
 module docstring), not merely to quadrature accuracy.

@@ -113,12 +113,11 @@ def test_cli_run_loads_no_scipy():
 
 
 def test_scenario_store_has_one_owner():
-    # core guards the store on construction; the propagator module owns its
-    # keys (frozen times and the default constants); no other module may
-    # read or write it
+    # the propagator module owns the store's keys (frozen times and the
+    # default constants); no other module may read or write it
     touching = sorted({name for name, tree in _src_trees() for node in ast.walk(tree)
                        if isinstance(node, ast.Attribute) and node.attr == "caches"})
-    assert touching == ["core.py", "propagator.py"]
+    assert touching == ["propagator.py"]
 
 
 def test_every_module_all_names_what_the_package_exports():

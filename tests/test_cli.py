@@ -242,6 +242,14 @@ def test_verify_failure_exits_two(capsys, tmp_path):
     assert json.loads(out)["failures"] >= 1
 
 
+def test_verify_reports_on_a_lattice_without_a_half_node(capsys, tmp_path):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"preset": "DIFF1", "n_age": 45, "n_time": 45}))
+    code, out, err = run(capsys, "verify", "--scenario", str(path))
+    assert code in (0, 2), err
+    assert len(json.loads(out)["checks"]) == 15
+
+
 def test_unconverged_cocycle_leg_is_a_failed_check(capsys, monkeypatch):
     from kato_evolve import verify
 

@@ -124,6 +124,12 @@ def test_fixed_point_residual_small(battery, qdiff):
     assert ke.fixed_point_residual(qdiff, problem, traj, tol=TOL) <= 2 * TOL
 
 
+def test_one_node_trajectory_is_its_own_fixed_point(qdiff):
+    problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS, center=structured_center(qdiff))
+    traj = ke.QuasilinearTrajectory((0.0,), (problem.ball_center,), 1)
+    assert ke.fixed_point_residual(qdiff, problem, traj, tol=TOL) == 0.0
+
+
 def test_two_starting_points_agree(battery, qdiff):
     _, problem, traj, _, _ = battery
     traj2, _, _ = ke.solve_quasilinear(qdiff, problem, tol=TOL, initial="linear")
@@ -340,7 +346,7 @@ def test_constant_iterates_run_one_ladder_level(qdiff, monkeypatch):
     monkeypatch.setattr(propagator, "_step_stack",
                         lambda *a: stacks.append(1) or step_stack(*a))
     monkeypatch.setattr(renewal, "_march",
-                        lambda sc, t, u, fluxes: steps.append(len(fluxes)) or march(sc, t, u, fluxes))
+                        lambda sc, t, u, m: steps.append(m) or march(sc, t, u, m))
 
     def operation(problem):
         sc = dataclasses.replace(qdiff, caches={})

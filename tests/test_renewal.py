@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import kato_evolve as ke
+from kato_evolve import renewal, verify
+from kato_evolve.propagator import _frozen
 
 
 def lotka_root(beta=2.0):
@@ -121,6 +123,55 @@ def test_extended_trajectory_equals_a_cold_march(diff1):
         ke.solve_birth(sc, 0.3, phi, first * h)
         warm = ke.solve_birth(sc, 0.3, phi, (2 * n + 5) * h)
         assert np.array_equal(warm.values, cold.values)
+
+
+def counted_marches(monkeypatch):
+    """Step counts of every renewal march from here on, in call order."""
+    calls = []
+    march = renewal._march
+    monkeypatch.setattr(renewal, "_march",
+                        lambda sc, t, u, m: calls.append(m) or march(sc, t, u, m))
+    return calls
+
+
+def test_a_kept_trajectory_serves_every_shorter_span_without_marching(diff1, monkeypatch):
+    sc = dataclasses.replace(diff1, caches={})
+    phi = ke.make_profile(sc, "smooth_random", seed=2)
+    n, h = sc.age_grid.n_age, sc.age_grid.step
+    ke.solve_birth(sc, 0.3, phi, (n + 4) * h)
+    calls = counted_marches(monkeypatch)
+    for m in (0, 1, n // 3, n, n + 4):
+        ke.solve_birth(sc, 0.3, phi, m * h)
+        ke.branch_values(sc, 0.3, phi, m * h)
+    assert calls == []
+
+
+def test_a_longer_horizon_marches_once_from_cold_and_replaces_the_kept_one(diff1, monkeypatch):
+    sc = dataclasses.replace(diff1, caches={})
+    phi = ke.make_profile(sc, "smooth_random", seed=2)
+    n, h = sc.age_grid.n_age, sc.age_grid.step
+    ke.solve_birth(sc, 0.3, phi, (n // 3) * h)
+    calls = counted_marches(monkeypatch)
+    traj = ke.solve_birth(sc, 0.3, phi, (2 * n + 5) * h)
+    assert calls == [2 * n + 5]
+    kept = _frozen(sc, 0.3).trajectories
+    assert len(kept) == 1 and kept[phi.values.tobytes()] is traj
+
+
+def test_birth_identity_leg_marches_its_longest_offset_once(scal0, monkeypatch):
+    calls = counted_marches(monkeypatch)
+    leg = []
+    residual = verify.birth_identity_residual
+
+    def counted(*args):
+        before = len(calls)
+        out = residual(*args)
+        leg.extend(calls[before:])
+        return out
+
+    monkeypatch.setattr(verify, "birth_identity_residual", counted)
+    ke.run_verification(dataclasses.replace(scal0, caches={}), seed=0)
+    assert leg == [833]  # 5/6 of the 1,000-step horizon; the other offsets slice it
 
 
 def test_solve_birth_validates_horizon(scal0):

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 import kato_evolve as ke
 from kato_evolve import verify
 
@@ -43,6 +45,14 @@ def test_one_step_horizon_skips_only_the_forced_check():
     assert math.isnan(forced.margin)
     assert [c.name for c in by_name.values() if c.status != "pass"] == []
     assert report.failures == 0
+
+
+@pytest.mark.parametrize(("name", "n"), [("SCAL0", 7), ("SCAL0", 9), ("MORT1", 15), ("DIFF1", 45)])
+def test_lattices_without_a_half_node_get_a_whole_report(name, n):
+    # neither a_max / 2 nor the horizon's half is a node of these grids
+    sc = ke.build_scenario({"preset": name, "n_age": n, "n_time": n})
+    report = ke.run_verification(sc, seed=0)
+    assert [c.name for c in report.checks] == BATTERY_NAMES
 
 
 def test_long_grids_skip_the_picard_checks(mort1):
