@@ -58,6 +58,13 @@ class _UsageError(Exception):
     pass
 
 
+def _seed(text):
+    """Value of --seed: a whole number >= 0, as numpy's generators require."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
@@ -77,7 +84,7 @@ def _build_parser():
         group = p.add_mutually_exclusive_group()
         group.add_argument("--preset", choices=PRESET_NAMES, help="named scenario")
         group.add_argument("--scenario", metavar="FILE", help="scenario JSON file")
-        p.add_argument("--seed", type=int, default=0, help="seed for random inputs")
+        p.add_argument("--seed", type=_seed, default=0, help="seed for random inputs")
         if tol_default is not None:
             p.add_argument("--tol", type=float, default=tol_default, help="tolerance")
         p.add_argument("--out", metavar="DIR", help="directory for report and CSVs")

@@ -216,6 +216,12 @@ def _sample(evaluate, ages, dim, what, at="", out=None):
     return out
 
 
+def _check_lipschitz_t(lipschitz_t):
+    """Reject a declared time-Lipschitz constant that is not finite and >= 0."""
+    if lipschitz_t is not None and not (np.isfinite(lipschitz_t) and lipschitz_t >= 0):
+        raise ValidationError("lipschitz_t must be a nonnegative real or None")
+
+
 @dataclass(frozen=True)
 class OperatorField:
     """Age/time dependent generator matrix field A(t, a), d x d per age.
@@ -234,10 +240,7 @@ class OperatorField:
     lipschitz_t: float | None = None
 
     def __post_init__(self):
-        if self.lipschitz_t is not None and not (
-            np.isfinite(self.lipschitz_t) and self.lipschitz_t >= 0
-        ):
-            raise ValidationError("lipschitz_t must be a nonnegative real or None")
+        _check_lipschitz_t(self.lipschitz_t)
 
     def sample(self, t, ages):
         """The frozen field A(t, a) at every age in ``ages``, (len(ages), d, d)."""

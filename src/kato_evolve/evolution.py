@@ -143,6 +143,12 @@ def _levels(scenario, t, s, phi):
     return cache(lambda n: apply_approximant(scenario, n, t, s, phi))
 
 
+def _check_tol(tol):
+    """Reject a convergence tolerance that is not finite and positive."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be finite and positive, got {tol!r}")
+
+
 def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0):
     """Evolve phi from time s to t, doubling the partition until Cauchy.
 
@@ -174,8 +180,7 @@ def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0)
     happen to nearly agree, while the distance to the limit is still
     governed by the unrefined part of the plan.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    _check_tol(tol)
     phi_norm = state_norm(scenario, phi)
     allowed = allowed_partitions(scenario)
     ns, last = [], None
@@ -186,13 +191,9 @@ def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0)
         last = plan
     if phi_norm == 0.0:
         return EvolutionResult(scenario.zero_state(), 1, 0.0)
-    if scenario.operator.time_independent:
-        value = apply_approximant(scenario, 1, t, s, phi)
-        return EvolutionResult(value, 1, 0.0)
-    if len(ns) == 1:
-        # one distinct plan across all levels: the ladder is a single point
-        return EvolutionResult(apply_approximant(scenario, ns[0], t, s, phi),
-                               ns[0], 0.0)
+    if scenario.operator.time_independent or len(ns) == 1:
+        # every level gives the same product (ns[0] is 1): a one-point ladder
+        return EvolutionResult(apply_approximant(scenario, 1, t, s, phi), 1, 0.0)
 
     level = _levels(scenario, t, s, phi)
 

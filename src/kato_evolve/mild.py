@@ -25,7 +25,7 @@ from .core import (
     make_profile,
     state_norm,
 )
-from .evolution import apply_approximant, apply_evolution
+from .evolution import _check_tol, apply_approximant, apply_evolution
 from .propagator import growth_bound
 
 __all__ = [
@@ -37,7 +37,13 @@ __all__ = [
     "solve_forced",
 ]
 
-FORCING_NAMES = ("constant", "pulse", "sinusoid")
+# name -> (make_profile name, time factor f(t, T) over the horizon T)
+_FORCINGS = {
+    "constant": ("ones", lambda t, T: 1.0),
+    "pulse": ("age_bump", lambda t, T: np.exp(-(((t - 0.3 * T) / (0.1 * T)) ** 2))),
+    "sinusoid": ("smooth_random", lambda t, T: np.sin(2.0 * np.pi * t / T)),
+}
+FORCING_NAMES = tuple(_FORCINGS)
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,7 @@ def solve_forced(scenario, phi, forcing, t_end, tol=1e-6):
     trajectory is marched at that count.  Returns the states at every
     time-grid node in [0, t_end], with u(0) = phi exactly.
     """
+    _check_tol(tol)
     tg = scenario.time_grid
     if not (np.isfinite(t_end) and 0 <= t_end <= tg.horizon * (1 + 1e-12)):
         raise ValidationError(f"t_end must lie in [0, horizon], got {t_end!r}")
@@ -173,35 +180,20 @@ def forced_bound_margin(scenario, trajectory, phi, forcing, slack=0.0):
 def forcing_preset(scenario, name, seed=0, amplitude=1.0):
     """Named forcing routine (t -> StateVector) for demos and the CLI.
 
-    constant: a flat profile, fixed in time.
+    The forcing at t is amplitude times a time factor times a fixed profile.
+    constant: a flat profile, fixed in time (factor 1).
     pulse: an age bump modulated by a Gaussian window in time.
     sinusoid: a smooth random profile modulated by one sine period.
     """
-    horizon = scenario.time_grid.horizon
-    if name == "constant":
-        base = make_profile(scenario, "ones")
-
-        def forcing(t):
-            return base.with_values(amplitude * base.values)
-
-    elif name == "pulse":
-        base = make_profile(scenario, "age_bump")
-        center = 0.3 * horizon
-        width = 0.1 * horizon
-
-        def forcing(t):
-            factor = amplitude * np.exp(-(((t - center) / width) ** 2))
-            return base.with_values(factor * base.values)
-
-    elif name == "sinusoid":
-        base = make_profile(scenario, "smooth_random", seed=seed)
-
-        def forcing(t):
-            factor = amplitude * np.sin(2.0 * np.pi * t / horizon)
-            return base.with_values(factor * base.values)
-
-    else:
+    if name not in _FORCINGS:
         raise ConfigError(
             f"unknown forcing {name!r}; available: {', '.join(FORCING_NAMES)}"
         )
+    profile, factor = _FORCINGS[name]
+    base = make_profile(scenario, profile, seed=seed)
+    horizon = scenario.time_grid.horizon
+
+    def forcing(t):
+        return base.with_values(amplitude * factor(t, horizon) * base.values)
+
     return forcing

@@ -114,14 +114,14 @@ def apply_product_sequential(scenario, plan, phi):
 def apply_product_direct(scenario, plan, phi):
     """Evaluate the product through its closed-form nodewise casework.
 
-    With suffix sums S_k of the duration steps, an age node i above S_1
-    carries the initial profile transported through every factor's age
-    window.  Otherwise the node belongs to the newborn region of the factor
-    k picked as the largest index with i <= S_k (so boundary ties go to the
-    later factor, and zero-duration factors never claim a node); its value
-    seeds from the birth trajectory of the preceding partial product at
-    elapsed span S_k - i, then rides the remaining factors' windows, each
-    truncated at age zero.
+    With suffix sums S_k of the duration steps, age node i seeds in one
+    factor k, then rides the windows of factors k..n, each truncated at age
+    zero.  A node above S_1 is factor 1's: its seed is the initial profile
+    at node i - S_1.  Otherwise k is the largest index with i <= S_k (so
+    boundary ties go to the later factor, and zero-duration factors never
+    claim a node), and the seed is the birth trajectory of the preceding
+    partial product at elapsed span S_k - i.  This is the reference the
+    sequential march is checked against, so it shares no loop with it.
     """
     steps = _plan_steps(scenario, plan)
     n = plan.n_factors
@@ -143,26 +143,19 @@ def apply_product_direct(scenario, plan, phi):
     out = np.empty_like(phi.values)
     for i in range(g.n_age + 1):
         if i > suffix[1]:
-            v = np.array(phi.values[i - suffix[1]], dtype=float)
-            for j in range(1, n + 1):
-                v = propagate_indices(
-                    scenario, plan.times[j - 1], i - suffix[j], i - suffix[j + 1], v
-                )
+            k, seed = 1, phi.values[i - suffix[1]]
         else:
             k = max(j for j in range(1, n + 1) if i <= suffix[j])
             if k not in trajectories:
                 trajectories[k] = solve_birth(
                     scenario, plan.times[k - 1], prefixes[k - 1], h * suffix[k]
                 )
-            v = np.array(trajectories[k].values[suffix[k] - i], dtype=float)
-            for j in range(k, n + 1):
-                v = propagate_indices(
-                    scenario,
-                    plan.times[j - 1],
-                    max(i - suffix[j], 0),
-                    i - suffix[j + 1],
-                    v,
-                )
+            seed = trajectories[k].values[suffix[k] - i]
+        v = np.array(seed, dtype=float)
+        for j in range(k, n + 1):
+            v = propagate_indices(
+                scenario, plan.times[j - 1], max(i - suffix[j], 0), i - suffix[j + 1], v
+            )
         out[i] = v
     out.flags.writeable = False
     return phi.with_values(out)

@@ -138,21 +138,22 @@ class _FrozenTime:
 
 
 def _frozen(scenario, t):
-    """The frozen-time record at t, its step maps built on first use."""
+    """The frozen-time record at a finite t, its step maps built on first use."""
     frozen = scenario.caches.get(t)
     if frozen is None:
+        if not math.isfinite(t):
+            raise ValidationError(f"frozen time must be finite, got {t!r}")
         steps = _step_stack(scenario, t, 0, scenario.age_grid.n_age)
         steps.flags.writeable = False
         frozen = scenario.caches[t] = _FrozenTime(steps)
     return frozen
 
 
-def _compose(steps, dim):
-    """Product steps[-1] @ ... @ steps[0] (identity for an empty stack)."""
-    mat = np.eye(dim)
+def _carry(steps, v):
+    """steps[-1] @ ... @ steps[0] @ v, applied one step at a time (v for none)."""
     for step in steps:
-        mat = step @ mat
-    return mat
+        v = step @ v
+    return v
 
 
 def chain_matrices(scenario, t):
@@ -176,9 +177,7 @@ def propagate_indices(scenario, t, j_from, j_to, v0):
     v = np.array(v0, dtype=float)
     if j_from == j_to:
         return v
-    for step in _frozen(scenario, t).steps[j_from:j_to]:
-        v = step @ v
-    return v
+    return _carry(_frozen(scenario, t).steps[j_from:j_to], v)
 
 
 def _fit_exponential_bound(samples):
@@ -186,16 +185,11 @@ def _fit_exponential_bound(samples):
 
     ``samples`` holds (norm_value, age_span) pairs with span >= 0.
     """
-    omega = 0.0
-    have_span = False
-    for g, span in samples:
-        if span > 0 and g > 0:
-            rate = np.log(g) / span
-            omega = rate if not have_span else max(omega, rate)
-            have_span = True
-    m = 1.0
-    for g, span in samples:
-        m = max(m, g * np.exp(-omega * span))
+    omega = max(
+        (np.log(g) / span for g, span in samples if span > 0 and g > 0),
+        default=0.0,
+    )
+    m = max([1.0] + [g * np.exp(-omega * span) for g, span in samples])
     return m, omega
 
 
@@ -230,7 +224,7 @@ def estimate_bounds(scenario):
     graph_prods = [(1.0, 0.0)]
     for _ in range(samples):
         j_from, j_to = sample_pair()
-        mat = _compose(steps[j_from:j_to], scenario.dim)
+        mat = _carry(steps[j_from:j_to], np.eye(scenario.dim))
         span = (j_to - j_from) * h
         frozen.append((matrix_norm(mat, scenario.norm), span))
 
@@ -243,7 +237,8 @@ def estimate_bounds(scenario):
         for tj in times:
             j_from, j_to = sample_pair()
             cells = _step_stack(scenario, float(tj), j_from, j_to)
-            mat = _compose(cells, scenario.dim) @ mat
+            # carrying mat itself would reassociate the product
+            mat = _carry(cells, np.eye(scenario.dim)) @ mat
             span += (j_to - j_from) * h
         base_prods.append((matrix_norm(mat, scenario.norm), span))
         graph_prods.append((graph_to_graph_norm(scenario._kernel, mat), span))

@@ -18,13 +18,14 @@ from .core import (
     OperatorField,
     StateVector,
     ValidationError,
+    _check_lipschitz_t,
     _matrix_norms,
     _state_distance,
     graph_state_norm,
     make_profile,
     state_norm,
 )
-from .evolution import apply_evolution, eta_constant
+from .evolution import _check_tol, apply_evolution, eta_constant
 from .mild import _march
 from .propagator import growth_bound
 
@@ -71,10 +72,7 @@ class QuasilinearProblem:
             raise ValidationError("lipschitz_l must be a positive real")
         if not (np.isfinite(self.ball_radius) and self.ball_radius > 0):
             raise ValidationError("ball_radius must be a positive real")
-        if self.lipschitz_t is not None and not (
-            np.isfinite(self.lipschitz_t) and self.lipschitz_t >= 0
-        ):
-            raise ValidationError("lipschitz_t must be a nonnegative real or None")
+        _check_lipschitz_t(self.lipschitz_t)
 
 
 @dataclass(frozen=True)
@@ -278,8 +276,7 @@ def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"
     raises a convergence error carrying that horizon's sup gaps.  No
     stability constant is estimated: see :func:`contraction_estimate`.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    _check_tol(tol)
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1")
     if initial not in ("center", "linear"):

@@ -58,6 +58,44 @@ def test_evolve_still_takes_tol(capsys):
     assert json.loads(out)["tol"] == 1e-3
 
 
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--preset", "DIFF1", "--t", "0.5", "--tol", "nan"),
+    ("evolve", "--preset", "DIFF1", "--t", "0.5", "--tol", "inf"),
+    ("forced", "--preset", "SCAL0", "--t-end", "1", "--tol", "nan"),
+    ("forced", "--preset", "SCAL0", "--t-end", "0", "--tol", "nan"),  # marches no step
+])
+def test_non_finite_tol_fails_cleanly(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tol must be finite and positive")
+
+
+@pytest.mark.parametrize("argv", [
+    ("birth", "--preset", "SCAL0", "--t", "nan"),
+    ("semigroup", "--preset", "SCAL0", "--s", "0.5", "--t", "inf"),
+])
+def test_non_finite_frozen_time_fails_cleanly(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: frozen time must be finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--preset", "SCAL0", "--seed", "-1"),
+    ("semigroup", "--preset", "SCAL0", "--s", "0.5", "--profile", "smooth_random",
+     "--seed", "-3"),
+    ("verify", "--preset", "SCAL0", "--seed", "1.5"),
+])
+def test_seed_must_be_a_whole_number_at_least_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage:" in err
+    assert "argument --seed: expected a whole number >= 0" in err
+
+
 def test_semigroup_reports_norms(capsys):
     code, out, _ = run(capsys, "semigroup", "--preset", "SCAL0", "--s", "0.25")
     assert code == 0

@@ -49,9 +49,13 @@ def test_zero_profile_short_circuit(diff1):
     assert not np.any(result.value.values)
 
 
-def test_tol_must_be_positive(diff1, tilted):
-    with pytest.raises(ke.ValidationError):
-        ke.apply_evolution(diff1, 0.5, 0.0, tilted, tol=0.0)
+def test_tol_must_be_positive(scal0, diff1):
+    # SCAL0's field is time independent, so its ladder would stop at one level
+    for sc in (diff1, scal0):
+        phi = ke.make_profile(sc, "tilted")
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ke.ValidationError, match="^tol must be finite and positive"):
+                ke.apply_evolution(sc, 0.5, 0.0, phi, tol=tol)
 
 
 def test_ladder_accepts_on_smooth_profile(diff1, tilted):

@@ -98,6 +98,22 @@ def test_forced_bound_margin_nonnegative_with_slack():
         assert ke.forced_bound_margin(sc, traj, phi, forcing, slack=0.05) >= 0.0
 
 
+def test_forcing_presets_are_their_closed_forms(diff1):
+    horizon = diff1.time_grid.horizon
+    amplitude = 0.7
+    closed_forms = {
+        "constant": ("ones", lambda t: 1.0),
+        "pulse": ("age_bump", lambda t: np.exp(-(((t - 0.3 * horizon) / (0.1 * horizon)) ** 2))),
+        "sinusoid": ("smooth_random", lambda t: np.sin(2.0 * np.pi * t / horizon)),
+    }
+    assert ke.FORCING_NAMES == tuple(closed_forms)
+    for name, (profile, factor) in closed_forms.items():
+        forcing = ke.forcing_preset(diff1, name, seed=5, amplitude=amplitude)
+        base = ke.make_profile(diff1, profile, seed=5).values
+        for t in (0.0, 0.1 * horizon, 0.3 * horizon, 0.75 * horizon, horizon):
+            assert np.array_equal(forcing(t).values, amplitude * factor(t) * base)
+
+
 def test_forcing_preset_names(scal0):
     with pytest.raises(ke.ConfigError):
         ke.forcing_preset(scal0, "sawtooth")

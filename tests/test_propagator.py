@@ -9,6 +9,7 @@ from scipy.linalg import expm
 import kato_evolve as ke
 from kato_evolve.propagator import (
     _expm_stack,
+    _fit_exponential_bound,
     _frozen,
     _FrozenTime,
     _step_stack,
@@ -125,6 +126,43 @@ def test_cell_ranges_are_validated(diff1):
         propagate_indices(diff1, 0.0, 2, 1, v)
     with pytest.raises(ke.ValidationError):
         propagate_indices(diff1, 0.0, 0, n + 1, v)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_frozen_time_is_rejected(scal0, diff1, t):
+    for base in (scal0, diff1):
+        sc = fresh(base)
+        phi = ke.make_profile(sc, "tilted")
+        calls = (
+            lambda: ke.solve_birth(sc, t, phi, 0.5),
+            lambda: ke.branch_values(sc, t, phi, 0.5),
+            lambda: ke.apply_semigroup(sc, t, 0.5, phi),
+            lambda: ke.chain_matrices(sc, t),
+            lambda: propagate_indices(sc, t, 0, 1, np.ones(sc.dim)),
+        )
+        for call in calls:
+            with pytest.raises(ke.ValidationError, match="^frozen time must be finite"):
+                call()
+        assert sc.caches == {}
+        # a zero span evaluates no field, so it needs no frozen time
+        assert np.array_equal(ke.apply_semigroup(sc, t, 0.0, phi).values, phi.values)
+
+
+def test_exponential_fit_without_a_positive_span_is_trivial():
+    assert _fit_exponential_bound([]) == (1.0, 0.0)
+    assert _fit_exponential_bound([(1.0, 0.0), (0.5, 0.0), (0.0, 2.0)]) == (1.0, 0.0)
+
+
+def test_exponential_fit_on_decaying_samples():
+    decaying = [(1.0, 0.0), (np.exp(-2.0), 1.0), (np.exp(-3.0), 2.0), (0.5, 0.25)]
+    m, omega = _fit_exponential_bound(decaying)
+    assert omega == max(np.log(g) / span for g, span in decaying if span > 0)
+    assert omega < 0.0
+    assert m >= 1.0
+    for g, span in decaying:
+        assert g * np.exp(-omega * span) <= m
+    # a zero norm adds no rate, whatever its span
+    assert _fit_exponential_bound(decaying + [(0.0, 0.5)]) == (m, omega)
 
 
 def test_evolution_caches_one_stack_per_frozen_time(diff1):

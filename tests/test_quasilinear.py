@@ -169,8 +169,9 @@ def test_report_fields(battery, qdiff):
 
 def test_solver_validation(qdiff, scal0):
     problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS)
-    with pytest.raises(ke.ValidationError):
-        ke.solve_quasilinear(qdiff, problem, tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ke.ValidationError, match="^tol must be finite and positive"):
+            ke.solve_quasilinear(qdiff, problem, tol=tol)
     with pytest.raises(ke.ValidationError):
         ke.solve_quasilinear(qdiff, problem, max_iter=0)
     with pytest.raises(ke.ValidationError):
