@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -66,6 +67,14 @@ def _seed(text):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-3" and "-inf" as option names; no flag here
+        # looks like a number, so every float spelling is a value
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE
+        )
+
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 

@@ -484,8 +484,13 @@ class Scenario:
         for name, part in (("operator", self.operator), ("birth", self.birth)):
             if part.dim != self.dim:
                 raise ValidationError(f"{name} dim {part.dim} differs from scenario dim {self.dim}")
-        # Time steps must land on age nodes so transport stays node-aligned.
-        self.age_grid.index_of(self.time_grid.step, "time grid step")
+        # Time steps must land on age nodes so transport stays node-aligned,
+        # and span at least one: a step on node 0 leaves the ladder no level.
+        if self.age_grid.index_of(self.time_grid.step, "time grid step") < 1:
+            raise ValidationError(
+                f"time grid step {self.time_grid.step!r} is shorter than one "
+                f"age step {self.age_grid.step!r}"
+            )
         object.__setattr__(self, "caches", {})
         object.__setattr__(self, "_kernel", _KernelRecord(
             self.birth, self.age_grid, self.dim, self.norm, self.reference_operator))

@@ -7,18 +7,18 @@ the gap between consecutive levels realizes the limit object: evolution of
 the full non-autonomous problem.
 
 Partition counts are powers of two whose cell length is a whole number of
-age steps, so every approximant is an exactly aligned product plan and the
-doubling ladder is free of interpolation noise.  Gaps sitting at the
-rounding floor get one extra probe level before being trusted: a coefficient
-field can alias between two partition levels (equal samples at the coarse
-breakpoints) without being time-independent, and the probe tells the two
-situations apart.
+age steps, so every approximant is an integer cell schedule on the age
+lattice and the doubling ladder is free of interpolation noise.  Gaps
+sitting at the rounding floor get one extra probe level before being
+trusted: a coefficient field can alias between two partition levels (equal
+samples at the coarse breakpoints) without being time-independent, and the
+probe tells the two situations apart.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -31,8 +31,9 @@ from .core import (
     apply_generator,
     state_norm,
 )
-from .products import ProductPlan, apply_product_sequential
+from .products import ProductPlan
 from .propagator import growth_bound
+from .renewal import _march_plan
 
 __all__ = [
     "EvolutionResult",
@@ -58,9 +59,9 @@ class EvolutionResult:
     """Accepted evolution value with its convergence metadata.
 
     ``n_used`` names the partition level of ``value``.  ``cauchy_gap`` is the
-    gap that triggered acceptance, measured between levels n and 2n; when the
-    gap sat at the rounding floor the coarse level is returned, otherwise the
-    finer one.  ``gaps`` collects (n, gap) pairs in evaluation order.  A
+    gap that triggered acceptance, measured between consecutive levels; when
+    the gap sat at the rounding floor the coarse level is returned, otherwise
+    the finer one.  ``gaps`` collects (n, gap) pairs in evaluation order.  A
     value built by Richardson extrapolation of the accepted pair is labeled
     by ``extrapolated``.
     """
@@ -85,21 +86,19 @@ def allowed_partitions(scenario):
     while base % n == 0:
         out.append(n)
         n *= 2
-    if not out:
-        raise ValidationError("time horizon is not a whole number of age steps")
     return out
 
 
-def approximant_plan(scenario, n, t, s):
-    """Product plan of the n-cell approximant between times s and t.
+def _cells(scenario, n, t, s):
+    """Cell schedule of the n-cell approximant between times s and t.
 
-    Frozen times are the left endpoints of the partition cells met by
-    [s, t]; all breakpoints land on the age lattice by construction, so the
-    plan durations are exactly aligned.
+    One (frozen time, age steps) pair per partition cell met by [s, t]:
+    the frozen time is the cell's left endpoint and the steps count the
+    part of [s, t] inside the cell, so every breakpoint is a lattice node.
     """
     g = scenario.age_grid
     base = _base_steps(scenario)
-    if base % n != 0:
+    if not (isinstance(n, numbers.Integral) and n >= 1 and base % n == 0):
         compatible = ", ".join(str(m) for m in allowed_partitions(scenario))
         raise GridAlignmentError(
             f"partition count {n} does not split the horizon into whole age "
@@ -109,23 +108,31 @@ def approximant_plan(scenario, n, t, s):
     i_s = g.index_of(s, "start time")
     i_t = g.index_of(t, "end time")
     if not 0 <= i_s <= i_t <= base:
-        raise ValidationError(
-            f"need 0 <= s <= t <= horizon, got s={s!r}, t={t!r}"
-        )
+        raise ValidationError(f"need 0 <= s <= t <= horizon, got s={s!r}, t={t!r}")
     h = g.step
     l = min(i_s // cell, n - 1)
     k = max(l, min((i_t - 1) // cell, n - 1))  # cell containing (t - dt, t]
-    cells = range(l, k + 1)
-    return ProductPlan(
-        tuple(j * cell * h for j in cells),
-        tuple((min((j + 1) * cell, i_t) - max(j * cell, i_s)) * h for j in cells),
-    )
+    return tuple((j * cell * h, min((j + 1) * cell, i_t) - max(j * cell, i_s))
+                 for j in range(l, k + 1))
+
+
+def approximant_plan(scenario, n, t, s):
+    """Product plan of the n-cell approximant between times s and t.
+
+    Frozen times are the left endpoints of the partition cells met by
+    [s, t]; each duration is a whole number of age steps, so the plan is
+    exactly aligned.
+    """
+    h = scenario.age_grid.step
+    cells = _cells(scenario, n, t, s)
+    return ProductPlan(tuple(tf for tf, _ in cells), tuple(m * h for _, m in cells))
 
 
 def apply_approximant(scenario, n, t, s, phi):
     """Apply the n-cell piecewise-frozen approximant between s and t."""
-    plan = approximant_plan(scenario, n, t, s)
-    return apply_product_sequential(scenario, plan, phi)
+    values = _march_plan(scenario, _cells(scenario, n, t, s), phi.values)
+    values.flags.writeable = False
+    return phi.with_values(values)
 
 
 def eta_constant(scenario):
@@ -133,14 +140,22 @@ def eta_constant(scenario):
     return float(max(growth_bound(scenario, 0)[1], growth_bound(scenario, 1)[1]))
 
 
-def _floor(scenario, phi_norm, a, b):
-    """Rounding floor of the gap between levels a and b evolved from phi."""
-    return FLOOR_FACTOR * max(phi_norm, state_norm(scenario, a), state_norm(scenario, b))
+def _pairs(scenario, t, s, phi, ns):
+    """(coarse, fine, gap, floor) for each consecutive pair of levels ns.
 
-
-def _levels(scenario, t, s, phi):
-    """level(n): the n-cell approximant of phi from s to t, built once per n."""
-    return cache(lambda n: apply_approximant(scenario, n, t, s, phi))
+    Level n is the n-cell approximant of phi from s to t, built once, when
+    the first pair that reaches it is evaluated.  The floor is
+    ``FLOOR_FACTOR`` times the largest norm of phi and of the pair.
+    """
+    if len(ns) < 2:
+        return
+    phi_norm = state_norm(scenario, phi)
+    fine = apply_approximant(scenario, ns[0], t, s, phi)
+    for n in ns[1:]:
+        coarse, fine = fine, apply_approximant(scenario, n, t, s, phi)
+        gap = _state_distance(scenario, coarse, fine)
+        norms = (phi_norm, state_norm(scenario, coarse), state_norm(scenario, fine))
+        yield coarse, fine, gap, FLOOR_FACTOR * max(norms)
 
 
 def _check_tol(tol):
@@ -153,22 +168,23 @@ def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0)
     """Evolve phi from time s to t, doubling the partition until Cauchy.
 
     Accepts when the gap between consecutive levels drops to tol times the
-    profile norm, returning the finer level.  Partition levels whose plan is
-    identical to the previous level's plan are skipped while finer distinct
-    plans remain: a short span sits inside a single coarse cell for several
-    doublings, so those levels repeat the same product and their zero gaps
-    carry no convergence information.  Once no finer distinct plan exists
-    the repetition works the other way: the remaining pair gaps are
-    structurally zero, so the last distinct level is terminal and is
-    accepted with a zero gap.  A gap at the rounding floor between genuinely
-    distinct plans is probed one level further before being trusted: if the
-    probe gap also sits at the floor, or no pair is left to probe it, the
-    coarse level is accepted and reported (genuine convergence, as when the
-    field variation does not touch the profile), otherwise the first gap
-    was coincidental (field samples aliasing across coarse breakpoints) and
-    the ladder goes on with the probe as an ordinary pair.
+    profile norm, returning the finer level.  Partition levels whose cell
+    schedule is identical to the previous level's are skipped while finer
+    distinct schedules remain: a short span sits inside a single coarse cell
+    for several doublings, so those levels repeat the same product and their
+    zero gaps carry no convergence information.  Once no finer distinct
+    schedule exists the repetition works the other way: the remaining pair
+    gaps are structurally zero, so the last distinct level is terminal and
+    is accepted with a zero gap.  A gap at the rounding floor between
+    genuinely distinct schedules is probed one level further before being
+    trusted: if the probe gap also sits at the floor, or no pair is left to
+    probe it, the coarse level is accepted and reported (genuine
+    convergence, as when the field variation does not touch the profile),
+    otherwise the first gap was coincidental (field samples aliasing across
+    coarse breakpoints) and the ladder goes on with the probe as an
+    ordinary pair.
     Raises a convergence error carrying the gap history when the distinct
-    plans run out at the finest allowed level without meeting the
+    schedules run out at the finest allowed level without meeting the
     tolerance.
 
     With ``extrapolate`` the returned value is the Richardson combination of
@@ -183,57 +199,40 @@ def apply_evolution(scenario, t, s, phi, tol=1e-6, extrapolate=False, confirm=0)
     _check_tol(tol)
     phi_norm = state_norm(scenario, phi)
     allowed = allowed_partitions(scenario)
-    ns, last = [], None
-    for n in allowed:
-        plan = approximant_plan(scenario, n, t, s)
-        if plan != last:
-            ns.append(n)
-        last = plan
+    schedules = [_cells(scenario, n, t, s) for n in allowed]
+    ns = [n for n, cur, prev in zip(allowed, schedules, [None] + schedules) if cur != prev]
     if phi_norm == 0.0:
         return EvolutionResult(scenario.zero_state(), 1, 0.0)
     if scenario.operator.time_independent or len(ns) == 1:
         # every level gives the same product (ns[0] is 1): a one-point ladder
         return EvolutionResult(apply_approximant(scenario, 1, t, s, phi), 1, 0.0)
 
-    level = _levels(scenario, t, s, phi)
-
-    def pair_gap(i):
-        a, b = level(ns[i]), level(ns[i + 1])
-        return _state_distance(scenario, a, b), _floor(scenario, phi_norm, a, b)
-
-    def accept(i_coarse, gap, history):
-        coarse, fine = level(ns[i_coarse]), level(ns[i_coarse + 1])
-        n_used = ns[i_coarse + 1]
-        if extrapolate:
-            value = fine.with_values(2.0 * fine.values - coarse.values)
-            return EvolutionResult(value, n_used, gap, tuple(history), True)
-        return EvolutionResult(fine, n_used, gap, tuple(history))
-
     threshold = tol * phi_norm
     history = []
     streak = 0
-    probing = False  # the previous pair sat at the floor and this one probes it
-    for i in range(len(ns) - 1):
-        gap, floor = pair_gap(i)
+    probe = None  # (level, n, gap) of the previous pair when it sat at the floor
+    for i, (coarse, fine, gap, floor) in enumerate(_pairs(scenario, t, s, phi, ns)):
         history.append((ns[i], gap))
         if gap <= floor:
             # the pair already agrees to rounding, nothing to extrapolate: the
             # coarse level of the first floor pair is trusted once its probe
             # sits at the floor too, or when no probe is left
-            if probing or i + 2 == len(ns):
-                j = i - 1 if probing else i
-                return EvolutionResult(level(ns[j]), ns[j], history[j][1], tuple(history))
-            probing, streak = True, 0
-            continue
-        probing = False
+            if probe is None and i + 2 < len(ns):
+                probe, streak = (coarse, ns[i], gap), 0
+                continue
+            value, n_used, gap = probe or (coarse, ns[i], gap)
+            return EvolutionResult(value, n_used, gap, tuple(history))
+        probe = None
         streak = streak + 1 if gap <= threshold else 0
         if streak > confirm:
-            return accept(i, gap, history)
+            value = (fine.with_values(2.0 * fine.values - coarse.values)
+                     if extrapolate else fine)
+            return EvolutionResult(value, ns[i + 1], gap, tuple(history), bool(extrapolate))
     if ns[-1] < allowed[-1]:
-        # every remaining level repeats the last distinct plan, so the next
-        # pair gap is structurally zero and the value is terminal
+        # every remaining level repeats the last distinct schedule, so the
+        # next pair gap is structurally zero and the value is terminal
         history.append((ns[-1], 0.0))
-        return EvolutionResult(level(ns[-1]), ns[-1], 0.0, tuple(history))
+        return EvolutionResult(fine, ns[-1], 0.0, tuple(history))
     raise ConvergenceError(
         f"no Cauchy acceptance at tol={tol!r} within partition counts "
         f"{ns}; gaps: {[(n, float(g)) for n, g in history]}",
@@ -306,7 +305,7 @@ def s_derivative_residual(scenario, t, s, psi, h, tol=1e-6):
 
 
 def convergence_study(scenario, t, s, phi):
-    """Gap table of the doubling ladder: rows (n, gap to level 2n, rate).
+    """Gap table of the doubling ladder: rows (n, gap to the next level, rate).
 
     n runs over :func:`allowed_partitions` but the last, so a horizon of
     one partition cell, with no pair of levels to compare, gives no rows
@@ -316,16 +315,12 @@ def convergence_study(scenario, t, s, phi):
     the largest norm of phi and of the pair, as in :func:`apply_evolution`).
     For fields Lipschitz in time the gaps decay at first order, rate near 1.
     """
-    approximant_plan(scenario, 1, t, s)  # checks s and t when no level is built
-    n_values = allowed_partitions(scenario)[:-1]
-    phi_norm = state_norm(scenario, phi)
-    level = _levels(scenario, t, s, phi)
+    _cells(scenario, 1, t, s)  # checks s and t when no level is built
+    ns = allowed_partitions(scenario)
     rows = []
     prev_signal = None
-    for n in n_values:
-        coarse, fine = level(n), level(2 * n)
-        gap = _state_distance(scenario, coarse, fine)
-        signal = gap if gap > _floor(scenario, phi_norm, coarse, fine) else None
+    for n, (_, _, gap, floor) in zip(ns, _pairs(scenario, t, s, phi, ns)):
+        signal = gap if gap > floor else None
         if prev_signal is not None and signal is not None:
             rate = float(np.log2(prev_signal / signal))
         else:

@@ -96,6 +96,40 @@ def test_seed_must_be_a_whole_number_at_least_zero(capsys, argv):
     assert "argument --seed: expected a whole number >= 0" in err
 
 
+def test_negative_values_with_an_exponent_or_infinity_are_values(capsys):
+    code, out, _ = run(capsys, "forced", "--preset", "SCAL0", "--t-end", "1",
+                       "--amplitude", "-1e-3")
+    assert code == 0
+    assert '"amplitude": -0.001' in out
+    code, out, err = run(capsys, "compare", "--preset", "SCAL0", "--t-end", "1",
+                         "--tol", "-inf")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tol must be finite and positive")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-1e-3", "end time = -0.001 is not aligned to the grid step"),
+    ("-1E+0", "end time = -1.0 lies outside the grid"),
+    ("-.5e2", "end time = -50.0 lies outside the grid"),
+    ("-inf", "end time must be finite, got -inf"),
+    ("-infinity", "end time must be finite, got -inf"),
+])
+def test_every_negative_float_spelling_reaches_the_command(capsys, value, message):
+    code, out, err = run(capsys, "evolve", "--preset", "DIFF1", "--t", value)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_time_step_below_one_age_step_fails_cleanly(capsys, tmp_path):
+    # 1e-10 is within the alignment tolerance of age node 0; a scenario
+    # with it would give every ladder a horizon of no age step to split
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"preset": "SCAL0", "T": 1e-10, "n_time": 1}))
+    code, out, err = run(capsys, "semigroup", "--scenario", str(path), "--s", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: time grid step 1e-10 is shorter than one age step 0.01\n"
+
+
 def test_semigroup_reports_norms(capsys):
     code, out, _ = run(capsys, "semigroup", "--preset", "SCAL0", "--s", "0.25")
     assert code == 0

@@ -112,6 +112,13 @@ def test_scenario_rejects_non_finite_fields(scal0, field, value):
         dataclasses.replace(scal0, caches={}, **{field: value})
 
 
+def test_scenario_rejects_a_time_step_below_one_age_step():
+    # the step aligns to age node 0, which leaves the horizon no age step
+    with pytest.raises(ke.ValidationError,
+                       match="^time grid step 1e-10 is shorter than one age step 0.01$"):
+        ke.build_scenario({"preset": "SCAL0", "T": 1e-10, "n_time": 1})
+
+
 def test_scenario_rejects_a_field_of_another_dimension(qdiff):
     zeros = lambda ages: np.zeros((len(ages), 3, 3))
     parts = {"operator": ke.OperatorField(3, lambda t, ages: zeros(ages)),

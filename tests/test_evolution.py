@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kato_evolve as ke
-from kato_evolve import evolution
+from kato_evolve import evolution, products
 from kato_evolve.evolution import FLOOR_FACTOR
 from kato_evolve.propagator import _FrozenTime
 
@@ -148,6 +148,61 @@ def test_plan_rejects_a_count_off_the_lattice(diff1):
     with pytest.raises(ke.GridAlignmentError,
                        match="compatible counts: 1, 2, 4, 8, 16, 32, 64"):
         ke.approximant_plan(diff1, 3, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.0, 3])
+def test_partition_count_must_divide_the_horizon(diff1, tilted, n):
+    # unchecked, 0 would divide by zero, 2.0 would fail inside range(), and
+    # -2 would march no cell and return phi unchanged
+    builders = (ke.approximant_plan, lambda *args: ke.apply_approximant(*args, tilted))
+    for build in builders:
+        with pytest.raises(ke.GridAlignmentError, match=f"^partition count {n} does not split"):
+            build(diff1, n, 0.5, 0.0)
+
+
+def test_numpy_partition_counts_are_counts(diff1, tilted):
+    n = np.int64(4)
+    assert ke.approximant_plan(diff1, n, 0.5, 0.0) == ke.approximant_plan(diff1, 4, 0.5, 0.0)
+    assert np.array_equal(ke.apply_approximant(diff1, n, 0.5, 0.0, tilted).values,
+                          ke.apply_approximant(diff1, 4, 0.5, 0.0, tilted).values)
+
+
+def _spans(base):
+    """(i_s, i_t) lattice spans: whole horizon, empty, one step, 13 -> 32,
+    and spans whose ends sit inside partition cells."""
+    spans = [(0, base), (13, 13), (base // 2, base // 2), (13, 14), (13, 32),
+             (1, base - 1), (base // 3, 2 * base // 3 + 1)]
+    return [(a, b) for a, b in spans if b <= base]
+
+
+@pytest.mark.parametrize("preset", ["DIFF1", "QDIFF", "SCAL0"])
+def test_approximant_is_the_sequential_product_of_its_plan(preset, request):
+    sc = request.getfixturevalue(preset.lower())
+    phi = ke.make_profile(sc, "tilted")
+    h = sc.age_grid.step
+    base = sc.age_grid.index_of(sc.time_grid.horizon)
+    for i_s, i_t in _spans(base):
+        for n in ke.allowed_partitions(sc):
+            t, s = i_t * h, i_s * h
+            direct = ke.apply_approximant(sc, n, t, s, phi)
+            planned = ke.apply_product_sequential(sc, ke.approximant_plan(sc, n, t, s), phi)
+            assert np.array_equal(direct.values, planned.values), (i_s, i_t, n)
+            assert not direct.values.flags.writeable
+
+
+def test_ladder_builds_no_product_plan(diff1, tilted, monkeypatch):
+    calls = []
+    post_init = products.ProductPlan.__post_init__
+    plan_steps = products._plan_steps
+    monkeypatch.setattr(products.ProductPlan, "__post_init__",
+                        lambda plan: calls.append("plan") or post_init(plan))
+    monkeypatch.setattr(products, "_plan_steps",
+                        lambda *args: calls.append("steps") or plan_steps(*args))
+    ke.apply_evolution(diff1, 0.875, 0.0, tilted, tol=1e-5)
+    ke.convergence_study(diff1, 0.875, 0.0, tilted)
+    assert calls == []
+    ke.apply_product_sequential(diff1, ke.approximant_plan(diff1, 2, 0.875, 0.0), tilted)
+    assert calls == ["plan", "steps"]  # the counters see the plan path
 
 
 def test_evolution_rejects_a_reversed_span(diff1, tilted):
