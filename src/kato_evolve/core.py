@@ -222,6 +222,14 @@ def _check_lipschitz_t(lipschitz_t):
         raise ValidationError("lipschitz_t must be a nonnegative real or None")
 
 
+def _check_count(value, least, what):
+    """Reject a count that is not an integer (a bool is not one) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{what} must be at least {least}")
+
+
 @dataclass(frozen=True)
 class OperatorField:
     """Age/time dependent generator matrix field A(t, a), d x d per age.
@@ -443,9 +451,10 @@ class Scenario:
     The operator field and the birth kernel must have the scenario's
     ``dim``; ``s_max`` caps birth trajectories at ten maximal ages.
 
-    ``caches`` stores what depends on the operator field: per frozen time,
-    one record of that time's step maps and birth trajectories, and the
-    default stability constants (the propagator module owns the store; the
+    ``caches`` stores what depends on the operator field: per frozen time, a
+    record of that time's step maps and birth trajectories (frozen times
+    with bit-equal sampled generators share one record), and the default
+    stability constants (the propagator module owns the store; the
     oracle caches nothing).  What the birth kernel, the grid and the
     reference operator fix (the sampled kernel, its norms, the reference
     directions and the boundary correction) is kept apart in a kernel
@@ -484,8 +493,10 @@ class Scenario:
         for name, part in (("operator", self.operator), ("birth", self.birth)):
             if part.dim != self.dim:
                 raise ValidationError(f"{name} dim {part.dim} differs from scenario dim {self.dim}")
-        # Time steps must land on age nodes so transport stays node-aligned,
-        # and span at least one: a step on node 0 leaves the ladder no level.
+        # The horizon and the time steps must land on age nodes so transport
+        # stays node-aligned, and a step must span at least one: a step on
+        # node 0 leaves the ladder no level.
+        self.age_grid.index_of(self.time_grid.horizon, "time horizon")
         if self.age_grid.index_of(self.time_grid.step, "time grid step") < 1:
             raise ValidationError(
                 f"time grid step {self.time_grid.step!r} is shorter than one "

@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     StateVector,
     ValidationError,
+    _check_count,
     _check_profile_shape,
     _state_distance,
     birth_quadrature,
@@ -124,8 +125,7 @@ def compare(scenario, phi, t_end, refinements, tol=1e-6):
     evolution tolerance is tightened with the grid so the table reflects
     the direct solver's first-order error.
     """
-    if refinements < 2:
-        raise ValidationError("refinements must be at least 2")
+    _check_count(refinements, 2, "refinements")
     rows = []
     prev = None
     for r in range(refinements):

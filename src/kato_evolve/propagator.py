@@ -11,12 +11,13 @@ the midpoint-frozen matrix over each cell (locally second order), so each
 map is an exact frozen-generator semigroup over its cell.
 
 This module owns the scenario's per-operator store (``scenario.caches``),
-which starts empty with every scenario.  It holds one frozen-time record
-per frozen time t, which owns two things: the step maps of every cell at t
+which starts empty with every scenario.  It maps each frozen time t to a
+frozen-time record, which owns two things: the step maps of every cell at t
 as one stack of shape (n_age, d, d), and the longest birth trajectory per
-profile that the renewal module marched at t.  The stack is
-built by one batched Taylor scaling-and-squaring kernel that needs matrix
-products only (``np.exp`` for d = 1).  The store also keeps the default
+profile that the renewal module marched at t.  Frozen times with bit-equal
+sampled generators share one record.  The stack is built by one batched
+Taylor scaling-and-squaring kernel that needs matrix products only
+(``np.exp`` for d = 1).  The store also keeps the default
 stability constants.  The node chain U_t(a_i, 0) is built only on request
 and never cached.
 """
@@ -53,21 +54,21 @@ _TAYLOR_18 = tuple(1.0 / math.factorial(k) for k in range(19))
 _CHUNK = 8
 
 
-def _expm_stack(gens):
+def _expm_stack(gens, norms):
     """Overwrite each d x d matrix of the stack ``gens`` with its exponential.
 
-    Scaling and squaring: matrix X gets its own power s = max(0,
-    ceil(log2(|X|_1 / theta_18))), the degree-18 Taylor polynomial of
-    X / 2^s is evaluated by Paterson-Stockmeyer (X^2, X^3, X^4, then four
-    Horner steps in X^4: seven batched products and no linear solve), and
-    the result is squared s times.  Matrices are taken in a stable order of
-    s, a chunk at a time, through one reused workspace.  Every operation
-    acts on one matrix at a time, so a matrix's result depends on that
-    matrix only: a whole stack, any sub-range and a single matrix give
-    bit-equal maps.
+    ``norms`` holds each matrix's 1-norm |X|_1.  Scaling and squaring:
+    matrix X gets its own power s = max(0, ceil(log2(|X|_1 / theta_18))),
+    the degree-18 Taylor polynomial of X / 2^s is evaluated by
+    Paterson-Stockmeyer (X^2, X^3, X^4, then four Horner steps in X^4: seven
+    batched products and no linear solve), and the result is squared s
+    times.  Matrices are taken in a stable order of s, a chunk at a time,
+    through one reused workspace.  Every operation acts on one matrix at a
+    time, so a matrix's result depends on that matrix only: a whole stack,
+    any sub-range and a single matrix give bit-equal maps.
     """
     n, d, _ = gens.shape
-    ratio = np.abs(gens).sum(axis=1).max(axis=1) / _THETA_18
+    ratio = norms / _THETA_18
     powers = np.zeros(n, dtype=int)
     big = ratio > 1.0
     powers[big] = np.ceil(np.log2(ratio[big]))
@@ -102,21 +103,33 @@ def _expm_stack(gens):
     return gens
 
 
-def _step_stack(scenario, t, j_from, j_to):
-    """Midpoint step maps of cells j_from .. j_to-1 at frozen time t, uncached.
+def _generators(scenario, t, j_from, j_to):
+    """h A(t, a) at the midpoints of cells j_from .. j_to-1, and each one's 1-norm.
 
-    The field is sampled once over the cells' midpoints and the whole stack
-    is exponentiated in one batched call (``np.exp`` for d = 1).  A map that
-    overflows raises ValidationError naming the first such cell.
+    The field is sampled once, in one call; the norms both set the kernel's
+    squarings and fingerprint the stack for the frozen-time store.
     """
     h = scenario.age_grid.step
     gens = scenario.operator.sample(t, (np.arange(j_from, j_to) + 0.5) * h)
     gens *= h
+    return gens, np.abs(gens).sum(axis=1).max(axis=1)
+
+
+def _step_stack(scenario, t, j_from, j_to, sampled=None):
+    """Midpoint step maps of cells j_from .. j_to-1 at frozen time t, uncached.
+
+    ``sampled`` is the cells' ``_generators`` when the caller already has
+    them; they are overwritten.  The whole stack is exponentiated in one
+    batched call (``np.exp`` for d = 1).  A map that overflows raises
+    ValidationError naming the first such cell.
+    """
+    gens, norms = sampled or _generators(scenario, t, j_from, j_to)
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.exp(gens) if scenario.dim == 1 else _expm_stack(gens)
+        steps = np.exp(gens) if scenario.dim == 1 else _expm_stack(gens, norms)
     finite = np.isfinite(steps).all(axis=(1, 2))
     if not finite.all():
         cell = j_from + int(np.argmin(finite))
+        h = scenario.age_grid.step
         raise ValidationError(
             f"step map is not finite at t={float(t)!r}, cell {cell} "
             f"(a={(cell + 0.5) * h!r})"
@@ -126,26 +139,43 @@ def _step_stack(scenario, t, j_from, j_to):
 
 @dataclass(eq=False)
 class _FrozenTime:
-    """What the frozen generator A(t) fixes at one time t.
+    """What the frozen generator A(t) fixes at the times that share it.
 
     ``steps`` is the read-only (n_age, d, d) stack of the step maps of every
-    cell.  ``trajectories`` maps profile bytes to the longest
-    BirthTrajectory marched from that profile at t.
+    cell, built at time ``t`` from generators whose 1-norms are ``norms``.
+    ``trajectories`` maps profile bytes to the longest BirthTrajectory
+    marched from that profile under these maps.
     """
 
     steps: np.ndarray
+    t: float
+    norms: np.ndarray
     trajectories: dict = field(default_factory=dict)
 
 
 def _frozen(scenario, t):
-    """The frozen-time record at a finite t, its step maps built on first use."""
+    """The frozen-time record at a finite t, its step maps built on first use.
+
+    A time whose sampled generators equal, bit for bit, those of a record
+    built at another time gets that record: the norms pick candidates and
+    a fresh sample at the candidate's time confirms them.
+    """
     frozen = scenario.caches.get(t)
     if frozen is None:
         if not math.isfinite(t):
             raise ValidationError(f"frozen time must be finite, got {t!r}")
-        steps = _step_stack(scenario, t, 0, scenario.age_grid.n_age)
-        steps.flags.writeable = False
-        frozen = scenario.caches[t] = _FrozenTime(steps)
+        n = scenario.age_grid.n_age
+        gens, norms = _generators(scenario, t, 0, n)
+        # each record once, under the time it was built at
+        frozen = next((r for key, r in scenario.caches.items()
+                       if isinstance(r, _FrozenTime) and key == r.t
+                       and np.array_equal(r.norms, norms)
+                       and np.array_equal(_generators(scenario, key, 0, n)[0], gens)), None)
+        if frozen is None:
+            steps = _step_stack(scenario, t, 0, n, (gens, norms))
+            steps.flags.writeable = False
+            frozen = _FrozenTime(steps, t, norms)
+        scenario.caches[t] = frozen
     return frozen
 
 

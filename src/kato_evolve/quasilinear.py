@@ -18,6 +18,7 @@ from .core import (
     OperatorField,
     StateVector,
     ValidationError,
+    _check_count,
     _check_lipschitz_t,
     _matrix_norms,
     _state_distance,
@@ -277,8 +278,7 @@ def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"
     stability constant is estimated: see :func:`contraction_estimate`.
     """
     _check_tol(tol)
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
+    _check_count(max_iter, 1, "max_iter")
     if initial not in ("center", "linear"):
         raise ValidationError("initial must be 'center' or 'linear'")
     phi = problem.ball_center

@@ -33,3 +33,24 @@ def test_workload_passes_its_checks_once(workloads, name):
     assert [c["name"] for c in checks if not c["ok"]] == []
     assert wl.scenarios_of(out)
     assert wl.oracle_steps(out) == (192 if name == "diffusion-compare" else 0)
+
+
+# Step-map stacks one operation exponentiates, by cell count: DIFF1's
+# mirror times (t + t' = 1/2 or 3/2) share a stack, which leaves 22 of the
+# base grid's 32 and 46 of the 2x grid's 64.
+STACKS = {"renewal-scalar": {100: 1}, "diffusion-compare": {64: 22, 128: 46},
+          "picard-quasilinear": {32: 6}}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_workload_exponentiates_one_stack_per_distinct_generator(workloads, name, monkeypatch):
+    from kato_evolve import propagator
+
+    cells = []
+    step_stack = propagator._step_stack
+    monkeypatch.setattr(propagator, "_step_stack",
+                        lambda sc, t, j_from, j_to, *rest: cells.append(j_to - j_from)
+                        or step_stack(sc, t, j_from, j_to, *rest))
+    wl = workloads.WORKLOADS[name](1)
+    wl.run(workloads.fresh(wl.scenario))
+    assert {n: cells.count(n) for n in set(cells)} == STACKS[name]

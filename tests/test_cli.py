@@ -130,6 +130,15 @@ def test_time_step_below_one_age_step_fails_cleanly(capsys, tmp_path):
     assert err == "error: time grid step 1e-10 is shorter than one age step 0.01\n"
 
 
+def test_horizon_off_the_age_lattice_fails_cleanly(capsys, tmp_path):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"preset": "SCAL0", "T": 10.0000005, "n_time": 1000}))
+    code, out, err = run(capsys, "semigroup", "--scenario", str(path), "--s", "1")
+    assert (code, out) == (1, "")
+    assert err == ("error: time horizon = 10.0000005 is not aligned to the grid step 0.01; "
+                   "nearest node is 10.0\n")
+
+
 def test_semigroup_reports_norms(capsys):
     code, out, _ = run(capsys, "semigroup", "--preset", "SCAL0", "--s", "0.25")
     assert code == 0

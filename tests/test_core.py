@@ -119,6 +119,15 @@ def test_scenario_rejects_a_time_step_below_one_age_step():
         ke.build_scenario({"preset": "SCAL0", "T": 1e-10, "n_time": 1})
 
 
+def test_scenario_rejects_a_horizon_off_the_age_lattice():
+    # the step 0.0100000005 aligns to the age step within tolerance, the
+    # horizon of 1,000 such steps does not
+    with pytest.raises(ke.GridAlignmentError,
+                       match=r"^time horizon = 10\.0000005 is not aligned to the grid step "
+                             r"0\.01; nearest node is 10\.0$"):
+        ke.build_scenario({"preset": "SCAL0", "T": 10.0000005, "n_time": 1000})
+
+
 def test_scenario_rejects_a_field_of_another_dimension(qdiff):
     zeros = lambda ages: np.zeros((len(ages), 3, 3))
     parts = {"operator": ke.OperatorField(3, lambda t, ages: zeros(ages)),

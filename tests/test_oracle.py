@@ -164,3 +164,10 @@ def test_compare_validation(scal0):
     phi = ke.make_profile(scal0, "ones")
     with pytest.raises(ke.ValidationError):
         ke.compare(scal0, phi, 1.0, refinements=1)
+
+
+@pytest.mark.parametrize("refinements", [2.5, True, np.float64(2.0)])
+def test_compare_takes_an_integer_refinement_count(scal0, refinements):
+    phi = ke.make_profile(scal0, "ones")
+    with pytest.raises(ke.ValidationError, match="^refinements must be an integer, got"):
+        ke.compare(scal0, phi, 0.25, refinements)

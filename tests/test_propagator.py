@@ -21,6 +21,11 @@ def fresh(scenario):
     return dataclasses.replace(scenario, caches={})
 
 
+def expm_stack(mats):
+    """The kernel on a stack, handed each matrix's 1-norm as its callers do."""
+    return _expm_stack(mats, np.abs(mats).sum(axis=1).max(axis=1))
+
+
 def frozen_times(scenario):
     """The times of the frozen-time records in the scenario's store."""
     return [t for t, v in scenario.caches.items() if isinstance(v, _FrozenTime)]
@@ -37,7 +42,7 @@ def test_stacked_step_maps_match_per_cell_maps(diff1):
     assert np.array_equal(chain[0], eye)
     steps = _frozen(sc, t).steps
     for j in range(sc.age_grid.n_age):
-        expected = _expm_stack(h * sc.operator(t, (j + 0.5) * h)[None])[0]
+        expected = expm_stack(h * sc.operator(t, (j + 0.5) * h)[None])[0]
         step = steps[j]
         assert np.array_equal(step, expected)
         assert np.array_equal(chain[j + 1], step @ chain[j])
@@ -73,18 +78,18 @@ def test_expm_kernel_on_random_non_normal_stacks():
     mats *= (rng.permutation(np.geomspace(1e-6, 50.0, 40)) / norms)[:, None, None]
     powers = np.ceil(np.log2(np.maximum(np.abs(mats).sum(axis=1).max(axis=1) / 1.09, 1.0)))
     assert powers.min() == 0 and powers.max() == 6
-    maps = _expm_stack(mats.copy())
+    maps = expm_stack(mats.copy())
     assert rel_one_norm_error(maps, expm(mats)) <= 1e-13
     # a matrix's map depends on that matrix only, whatever stack it sits in
     for j in range(len(mats)):
-        assert np.array_equal(_expm_stack(mats[j:j + 1].copy())[0], maps[j])
-    assert np.array_equal(_expm_stack(mats[5:22].copy()), maps[5:22])
-    assert np.array_equal(_expm_stack(mats[::-1].copy()), maps[::-1])
+        assert np.array_equal(expm_stack(mats[j:j + 1].copy())[0], maps[j])
+    assert np.array_equal(expm_stack(mats[5:22].copy()), maps[5:22])
+    assert np.array_equal(expm_stack(mats[::-1].copy()), maps[::-1])
 
 
 def test_expm_kernel_edge_stacks():
-    assert np.array_equal(_expm_stack(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
-    assert _expm_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+    assert np.array_equal(expm_stack(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert expm_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
 
 @pytest.mark.parametrize("name", ["SCAL0", "DIFF1"])
@@ -192,3 +197,70 @@ def test_growth_bound_is_the_inline_rate(name):
     assert ke.growth_bound(sc, 1) == (c.m1, c.omega1 + c.m1 * sc.birth_norm(1))
     with pytest.raises(ke.ValidationError):
         ke.growth_bound(sc, 2)
+
+
+def records(scenario):
+    """The distinct frozen-time records in the scenario's store."""
+    return list({id(v): v for v in scenario.caches.values() if isinstance(v, _FrozenTime)}.values())
+
+
+def per_time_product(scenario, plan, phi):
+    """The plan applied one factor at a time, each on a scenario of its own."""
+    for t, s in zip(plan.times, plan.durations):
+        phi = ke.apply_product_sequential(fresh(scenario), ke.ProductPlan((t,), (s,)), phi)
+    return phi
+
+
+def test_mirror_times_of_the_periodic_field_share_one_record(diff1):
+    # 0.1 (1 + 0.5 sin 2 pi t) is bit-equal at t = 0 and t = 0.5
+    sc = fresh(diff1)
+    ke.apply_evolution(sc, 1.0, 0.0, ke.make_profile(sc, "tilted"), tol=1e-5)
+    assert sc.caches[0.5] is sc.caches[0.0]
+    assert len(records(sc)) == len(sc.caches) - 1
+    n = sc.age_grid.n_age
+    for t in frozen_times(sc):
+        assert np.array_equal(sc.caches[t].steps, _step_stack(sc, t, 0, n))
+
+
+def test_equal_norms_of_different_generators_keep_two_records(diff1):
+    # P A(0, a) P^T, P swapping the first two coordinates from t = 0.5 on:
+    # the 1-norms are bit-equal at every time, the generators are not
+    base = diff1.operator
+    swap = np.arange(diff1.dim)
+    swap[:2] = 1, 0
+
+    def evaluate(t, ages):
+        p = swap if t >= 0.5 else np.arange(diff1.dim)
+        return base.evaluate(0.0, ages)[:, p][:, :, p]
+
+    sc = dataclasses.replace(diff1, operator=ke.OperatorField(diff1.dim, evaluate))
+    phi = ke.make_profile(sc, "tilted")
+    plan = ke.approximant_plan(sc, 4, 1.0, 0.0)
+    assert plan.times == (0.0, 0.25, 0.5, 0.75)
+    value = ke.apply_product_sequential(sc, plan, phi)
+    assert np.array_equal(value.values, per_time_product(sc, plan, phi).values)
+    first, second = sc.caches[0.0], sc.caches[0.5]
+    assert records(sc) == [first, second]
+    assert sc.caches[0.25] is first and sc.caches[0.75] is second
+    assert np.array_equal(first.norms, second.norms)
+    assert not np.array_equal(first.steps, second.steps)
+
+
+def test_time_independent_product_keeps_one_record(mort1):
+    sc = fresh(mort1)
+    plan = ke.ProductPlan((0.0, 0.5, 1.0), (0.3, 0.2, 0.6))
+    phi = ke.make_profile(sc, "tilted")
+    value = ke.apply_product_sequential(sc, plan, phi)
+    assert frozen_times(sc) == [0.0, 0.5, 1.0]
+    assert len(records(sc)) == 1
+    assert np.array_equal(value.values, per_time_product(sc, plan, phi).values)
+
+
+def test_kept_trajectory_read_through_a_shared_time_is_a_cold_march(diff1):
+    sc = fresh(diff1)
+    phi = ke.make_profile(sc, "smooth_random", seed=4)
+    ke.solve_birth(sc, 0.0, phi, 0.75)
+    assert _frozen(sc, 0.5) is _frozen(sc, 0.0)
+    shared = ke.solve_birth(sc, 0.5, phi, 0.5)
+    assert np.shares_memory(shared.values, sc.caches[0.0].trajectories[phi.values.tobytes()].values)
+    assert np.array_equal(shared.values, ke.solve_birth(fresh(diff1), 0.5, phi, 0.5).values)

@@ -174,6 +174,9 @@ def test_solver_validation(qdiff, scal0):
             ke.solve_quasilinear(qdiff, problem, tol=tol)
     with pytest.raises(ke.ValidationError):
         ke.solve_quasilinear(qdiff, problem, max_iter=0)
+    for max_iter in (2.5, True, np.float64(3.0)):
+        with pytest.raises(ke.ValidationError, match="^max_iter must be an integer, got"):
+            ke.solve_quasilinear(qdiff, problem, max_iter=max_iter)
     with pytest.raises(ke.ValidationError):
         ke.solve_quasilinear(qdiff, problem, initial="random")
     stranger = ke.QuasilinearProblem(
@@ -363,7 +366,9 @@ def test_constant_iterates_run_one_ladder_level(qdiff, monkeypatch):
     ref, ref_report, ref_residual, ref_stacks, ref_steps = operation(
         dataclasses.replace(problem, lipschitz_t=None))
     assert (n_stacks, n_steps) == (6, 96)
-    assert (ref_stacks, ref_steps) == (12, 144)
+    # the second ladder level's frozen times share the first level's record:
+    # a constant iterate's sampled generators are bit-equal at every time
+    assert (ref_stacks, ref_steps) == (6, 144)
     assert traj.times == ref.times and traj.n_used == ref.n_used
     assert all(np.array_equal(a.values, b.values) for a, b in zip(traj.states, ref.states))
     assert report == ref_report
