@@ -15,11 +15,12 @@ which starts empty with every scenario.  It maps each frozen time t to a
 frozen-time record, which owns two things: the step maps of every cell at t
 as one stack of shape (n_age, d, d), and the longest birth trajectory per
 profile that the renewal module marched at t.  Frozen times with bit-equal
-sampled generators share one record.  The stack is built by one batched
+sampled generators share one record, and :func:`_share_frozen` gives a
+Picard step the records of the step before it at the frozen times where
+the two fields are provably bit-equal.  The stack is built by one batched
 Taylor scaling-and-squaring kernel that needs matrix products only
-(``np.exp`` for d = 1).  The store also keeps the default
-stability constants.  The node chain U_t(a_i, 0) is built only on request
-and never cached.
+(``np.exp`` for d = 1).  The store also keeps the default stability
+constants.  The node chain U_t(a_i, 0) is built only on request and never cached.
 """
 
 from __future__ import annotations
@@ -177,6 +178,13 @@ def _frozen(scenario, t):
             frozen = _FrozenTime(steps, t, norms)
         scenario.caches[t] = frozen
     return frozen
+
+
+def _share_frozen(src, dst, same):
+    """Give ``dst`` the records ``src`` holds where ``same(t)`` proves the generators bit-equal."""
+    if src._kernel is dst._kernel:  # a record keeps birth trajectories
+        dst.caches.update((t, r) for t, r in src.caches.items()
+                          if isinstance(r, _FrozenTime) and same(t))
 
 
 def _carry(steps, v):

@@ -9,7 +9,7 @@ trades horizon length for contraction strength.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .core import (
 )
 from .evolution import _check_tol, apply_evolution, eta_constant
 from .mild import _march
-from .propagator import growth_bound
+from .propagator import _share_frozen, growth_bound
 
 __all__ = [
     "IteratesReport",
@@ -74,6 +74,8 @@ class QuasilinearProblem:
         if not (np.isfinite(self.ball_radius) and self.ball_radius > 0):
             raise ValidationError("ball_radius must be a positive real")
         _check_lipschitz_t(self.lipschitz_t)
+        if not isinstance(self.ball_center, StateVector):
+            raise ValidationError("ball_center must be a StateVector")
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,20 @@ class LipschitzReport:
 
 @dataclass(frozen=True)
 class QuasilinearTrajectory:
-    """Accepted fixed-point trajectory on the time-grid nodes."""
+    """Fixed-point trajectory, one state per node; a solved one lends the residual its maps."""
 
     times: tuple
     states: tuple
     n_used: int
+    _producer: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not (1 <= len(self.states) == len(self.times)
+                and all(isinstance(s, StateVector) for s in self.states)):
+            raise ValidationError("a trajectory needs one StateVector per time, at least one")
+
+    def __reduce__(self):  # the producing step holds closures; a copy rebuilds its maps
+        return QuasilinearTrajectory, (self.times, self.states, self.n_used)
 
     @property
     def final(self):
@@ -129,8 +140,7 @@ def check_lipschitz(problem, scenario, samples=8, seed=0):
     the declared constant.  A coincident pair is skipped, not redrawn, so it
     contributes no ratio and uses up one of the ``samples`` draws.
     """
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
+    _check_count(samples, 1, "samples")
     rng = np.random.default_rng(seed)
     nodes = scenario.age_grid.nodes
     center = problem.ball_center
@@ -208,12 +218,23 @@ def continuous_dependence_gap(scenario, a1, a2, phi, s, t, tol=1e-6):
     return float(lhs), float(rhs)
 
 
+def _blend(times, values, t):
+    """``values`` at ``times`` interpolated linearly at t, held at the end values outside."""
+    if len(times) == 1:
+        return values[0]
+    x = min(max((t - times[0]) / (times[1] - times[0]), 0.0), len(times) - 1)
+    j = min(int(x), len(times) - 2)
+    w = x - j
+    return (1.0 - w) * values[j] + w * values[j + 1]
+
+
 def _trajectory_field(scenario, problem, times, states):
     """Operator field obtained by freezing a trajectory inside the family.
 
-    The trajectory is interpolated linearly in time.  Each sample of the
-    field blends the state at its frozen time once and hands the whole age
-    array to ``operator_of_state`` in one call.  The field's declared
+    Each sample of the field takes the trajectory's :func:`_blend` at its
+    frozen time once and hands it with the whole age array to
+    ``operator_of_state``, so two fields of one problem whose blends at t
+    are byte-equal sample bit-equal generators there.  The field's declared
     time-Lipschitz constant is the problem's ``lipschitz_t`` plus
     ``lipschitz_l`` times the interpolant's own Lipschitz constant, the
     largest node-to-node state gap over dt: exactly 0.0 for a constant
@@ -221,8 +242,7 @@ def _trajectory_field(scenario, problem, times, states):
     declares no time constant.
     """
     values = [s.values for s in states]
-    n_nodes = len(times)
-    dt = times[1] - times[0] if n_nodes > 1 else 1.0
+    dt = times[1] - times[0] if len(times) > 1 else 1.0
     lipschitz_t = None
     if problem.lipschitz_t is not None:
         drift = max(
@@ -232,25 +252,37 @@ def _trajectory_field(scenario, problem, times, states):
         lipschitz_t = problem.lipschitz_t + problem.lipschitz_l * drift / dt
 
     def evaluate(t, ages):
-        if n_nodes == 1:
-            blended = values[0]
-        else:
-            x = (t - times[0]) / dt
-            x = min(max(x, 0.0), n_nodes - 1)
-            j = min(int(x), n_nodes - 2)
-            w = x - j
-            blended = (1.0 - w) * values[j] + w * values[j + 1]
+        blended = _blend(times, values, t)
         return problem.operator_of_state(StateVector(scenario.age_grid, blended), t, ages)
 
     return OperatorField(scenario.dim, evaluate, lipschitz_t=lipschitz_t)
 
 
-def _picard_step(scenario, problem, times, states, tol):
-    field = _trajectory_field(scenario, problem, times, states)
-    scen = scenario._with_operator(field)
-    phi = problem.ball_center
-    n = apply_evolution(scen, times[-1], 0.0, phi, tol=tol).n_used
-    return tuple(_march(scen, phi, times, n)), n
+@dataclass(frozen=True, eq=False)
+class _PicardStep:
+    """A Picard step: its problem, the trajectory it froze and the scenario frozen on it."""
+
+    problem: QuasilinearProblem
+    times: tuple
+    values: tuple
+    scenario: object
+
+
+def _freeze(scenario, problem, times, states, prev):
+    """The Picard step frozen on a trajectory, with ``prev``'s maps where its blend is equal."""
+    step = _PicardStep(problem, times, tuple(s.values for s in states),
+                       scenario._with_operator(_trajectory_field(scenario, problem, times, states)))
+    if prev is not None and prev.problem is problem:
+        _share_frozen(prev.scenario, step.scenario,
+                      lambda t: _blend(prev.times, prev.values, t).tobytes()  # -0.0 is not 0.0
+                      == _blend(times, step.values, t).tobytes())
+    return step
+
+
+def _picard_step(step, tol):
+    phi = step.problem.ball_center
+    n = apply_evolution(step.scenario, step.times[-1], 0.0, phi, tol=tol).n_used
+    return tuple(_march(step.scenario, phi, step.times, n)), n
 
 
 def _trajectory_gap(scenario, new_states, old_states, times):
@@ -286,16 +318,19 @@ def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"
         raise ValidationError("ball_center lives on a different age grid")
     dt = scenario.time_grid.step
     n_time = scenario.time_grid.n_time
+    step = None  # rebound before each march, so no step outlives the next one's handoff
     for halvings in range(n_time.bit_length()):
         times = tuple(j * dt for j in range((n_time >> halvings) + 1))
         states = (phi,) * len(times)
         sup_gaps, integral_gaps = [], []
         if initial == "linear":
-            states, _ = _picard_step(scenario, problem, times, states, tol)
+            step = _freeze(scenario, problem, times, states, step)
+            states, _ = _picard_step(step, tol)
             if not _confined(scenario, problem, states):
                 continue
         for _ in range(max_iter):
-            new_states, n_used = _picard_step(scenario, problem, times, states, tol)
+            step = _freeze(scenario, problem, times, states, step)
+            new_states, n_used = _picard_step(step, tol)
             gap, integral = _trajectory_gap(scenario, new_states, states, times)
             sup_gaps.append(gap)
             integral_gaps.append(integral)
@@ -304,7 +339,7 @@ def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"
             if gap <= tol:
                 report = IteratesReport(times[-1], halvings, tuple(sup_gaps),
                                         tuple(integral_gaps), n_used)
-                return QuasilinearTrajectory(times, new_states, n_used), times[-1], report
+                return QuasilinearTrajectory(times, new_states, n_used, step), times[-1], report
             if len(sup_gaps) >= 2 and sup_gaps[-2] > 0 and gap / sup_gaps[-2] > 0.9:
                 break  # stalled: no contraction at this horizon
             states = new_states
@@ -322,13 +357,15 @@ def solve_quasilinear(scenario, problem, tol=1e-6, max_iter=25, initial="center"
 
 
 def fixed_point_residual(scenario, problem, trajectory, tol=1e-6):
-    """Gap between a trajectory and one fresh linear solve driven by it.
+    """Gap between a trajectory and one more linear solve driven by it.
 
-    Rebuilds the frozen-trajectory field from scratch (empty caches) and
-    returns the sup-in-time state-norm distance, the quantity the accepted
-    fixed point promises to keep below twice the Picard tolerance.
+    Returns the sup-in-time state-norm distance, the quantity the accepted
+    fixed point promises to keep below twice the Picard tolerance.  A solve's
+    trajectory lends its last step's maps, for this problem object on a scenario
+    sharing its kernel record, at the frozen times where the fields are bit-equal.
     """
-    states, _ = _picard_step(scenario, problem, trajectory.times, trajectory.states, tol)
+    step = _freeze(scenario, problem, trajectory.times, trajectory.states, trajectory._producer)
+    states, _ = _picard_step(step, tol)
     gap, _ = _trajectory_gap(scenario, states, trajectory.states, trajectory.times)
     return gap
 

@@ -1,6 +1,8 @@
 """Picard solver for the state-coupled problem."""
 
 import dataclasses
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -85,6 +87,31 @@ def test_check_lipschitz_within_declared(qdiff, battery):
     assert 0.0 < report.observed_l <= report.declared_l
     with pytest.raises(ke.ValidationError):
         ke.check_lipschitz(problem, qdiff, samples=0)
+
+
+@pytest.mark.parametrize("samples", [2.5, "3", True, None])
+def test_check_lipschitz_takes_an_integer_sample_count(qdiff, samples):
+    problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS)
+    with pytest.raises(ke.ValidationError, match="samples must be an integer"):
+        ke.check_lipschitz(problem, qdiff, samples=samples)
+
+
+def test_problem_rejects_a_ball_center_that_is_no_state(qdiff):
+    op = lambda v, t, a: np.zeros((len(a), qdiff.dim, qdiff.dim))
+    raw = np.ones((qdiff.age_grid.n_age + 1, qdiff.dim))
+    with pytest.raises(ke.ValidationError, match="ball_center must be a StateVector"):
+        ke.QuasilinearProblem(op, 1.0, 1.0, raw)
+
+
+def test_trajectory_checks_its_shape(qdiff, battery):
+    _, problem, traj, _, _ = battery
+    for times, states in ((traj.times, traj.states[:-1]), (traj.times[:-1], traj.states),
+                          ((), ())):
+        with pytest.raises(ke.ValidationError, match="one StateVector per time"):
+            ke.QuasilinearTrajectory(times, states, traj.n_used)
+    raw = tuple(s.values for s in traj.states)
+    with pytest.raises(ke.ValidationError, match="one StateVector per time"):
+        ke.QuasilinearTrajectory(traj.times, raw, traj.n_used)
 
 
 def test_flat_center_degenerate_coupling(qdiff):
@@ -195,14 +222,15 @@ def test_too_tight_tolerance_propagates_ladder_failure(qdiff):
 
 def _fake_picard_step(center, offset_of):
     """A stand-in Picard step: every state of the new iterate is the center
-    shifted by offset_of(m, states), with m the horizon in time steps; the
-    horizons of the calls are kept in ``calls``."""
+    shifted by offset_of(m, values), with m the horizon in time steps and
+    values those of the frozen iterate; the horizons of the calls are kept
+    in ``calls``."""
     calls = []
 
-    def step(scenario, problem, times, states, tol):
-        calls.append(len(times) - 1)
-        shift = offset_of(len(times) - 1, states)
-        return tuple(center.with_values(center.values + shift) for _ in times), 1
+    def step(picard, tol):
+        calls.append(len(picard.times) - 1)
+        shift = offset_of(len(picard.times) - 1, picard.values)
+        return tuple(center.with_values(center.values + shift) for _ in picard.times), 1
 
     step.calls = calls
     return step
@@ -213,7 +241,7 @@ def test_stalled_iterates_halve_down_to_underflow(qdiff, monkeypatch):
 
     problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS)
     center = problem.ball_center
-    fake = _fake_picard_step(center, lambda m, states: 0.01 if len(fake.calls) % 2 else -0.01)
+    fake = _fake_picard_step(center, lambda m, values: 0.01 if len(fake.calls) % 2 else -0.01)
     monkeypatch.setattr(quasilinear, "_picard_step", fake)
     with pytest.raises(ke.ConvergenceError, match="fell below one time step") as exc:
         ke.solve_quasilinear(qdiff, problem, tol=TOL)
@@ -230,9 +258,9 @@ def test_max_iter_exhausted_raises_at_the_current_horizon(qdiff, monkeypatch):
     problem = ke.norm_coupled_diffusion(qdiff, EPS, 2.0)
     center = problem.ball_center
 
-    def halfway(m, states):
+    def halfway(m, values):
         target = 0.5 if m <= 8 else 1.0
-        return 0.5 * (states[0].values[0, 0] - center.values[0, 0] + target)
+        return 0.5 * (values[0][0, 0] - center.values[0, 0] + target)
 
     fake = _fake_picard_step(center, halfway)
     monkeypatch.setattr(quasilinear, "_picard_step", fake)
@@ -248,8 +276,8 @@ def test_linear_start_outside_the_ball_underflows_with_no_gaps(qdiff, monkeypatc
 
     calls = []
     step = quasilinear._picard_step
-    monkeypatch.setattr(quasilinear, "_picard_step", lambda sc, pr, times, *rest: (
-        calls.append(len(times) - 1) or step(sc, pr, times, *rest)))
+    monkeypatch.setattr(quasilinear, "_picard_step", lambda picard, tol: (
+        calls.append(len(picard.times) - 1) or step(picard, tol)))
     tilted = ke.make_profile(qdiff, "tilted")
     problem = ke.norm_coupled_diffusion(qdiff, 5.0, 0.01, center=tilted)
     with pytest.raises(ke.ConvergenceError, match="fell below one time step") as exc:
@@ -365,11 +393,120 @@ def test_constant_iterates_run_one_ladder_level(qdiff, monkeypatch):
     traj, report, residual, n_stacks, n_steps = operation(problem)
     ref, ref_report, ref_residual, ref_stacks, ref_steps = operation(
         dataclasses.replace(problem, lipschitz_t=None))
-    assert (n_stacks, n_steps) == (6, 96)
+    # two distinct frozen generators, one per iterate that the next step or
+    # the residual cannot take from the step before it
+    assert (n_stacks, n_steps) == (2, 96)
     # the second ladder level's frozen times share the first level's record:
     # a constant iterate's sampled generators are bit-equal at every time
-    assert (ref_stacks, ref_steps) == (6, 144)
+    assert (ref_stacks, ref_steps) == (2, 144)
     assert traj.times == ref.times and traj.n_used == ref.n_used
     assert all(np.array_equal(a.values, b.values) for a, b in zip(traj.states, ref.states))
     assert report == ref_report
     assert residual == ref_residual
+
+
+def _solve_and_residual(sc, problem, tol=TOL):
+    traj, _, report = ke.solve_quasilinear(sc, problem, tol=tol)
+    return traj, report, ke.fixed_point_residual(sc, problem, traj, tol=tol)
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The frozen times of every step-map stack exponentiated from here on."""
+    from kato_evolve import propagator
+
+    built = []
+    step_stack = propagator._step_stack
+    monkeypatch.setattr(propagator, "_step_stack",
+                        lambda sc, t, *rest: built.append(t) or step_stack(sc, t, *rest))
+    return built
+
+
+@pytest.mark.parametrize("center", ["tilted", 1, 2, 3])
+def test_handed_over_step_maps_change_no_bit(qdiff, monkeypatch, stacks, center):
+    # the CLI defaults and the picard-quasilinear benchmark's seeds 1 to 3
+    from kato_evolve import quasilinear
+
+    phi = (ke.make_profile(qdiff, center) if center == "tilted"
+           else workload_center(qdiff, center))
+    problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS, center=phi)
+    runs = []
+    for share in (quasilinear._share_frozen, lambda src, dst, same: None):
+        monkeypatch.setattr(quasilinear, "_share_frozen", share)
+        stacks.clear()
+        runs.append((*_solve_and_residual(dataclasses.replace(qdiff, caches={}), problem),
+                     len(stacks)))
+    (traj, report, residual, n_stacks), (ref, ref_report, ref_residual, ref_stacks) = runs
+    assert (n_stacks, ref_stacks) == (2, 6)
+    assert traj.times == ref.times and traj.n_used == ref.n_used
+    assert [s.values.tobytes() for s in traj.states] == [s.values.tobytes() for s in ref.states]
+    assert report == ref_report
+    assert residual == ref_residual
+
+
+def test_residual_rebuilds_what_it_cannot_prove_bit_equal(qdiff, stacks):
+    sc = dataclasses.replace(qdiff, caches={})
+    problem = ke.norm_coupled_diffusion(sc, EPS, RADIUS, center=workload_center(sc))
+    traj, _, _ = ke.solve_quasilinear(sc, problem, tol=TOL)
+    stacks.clear()
+    residual = ke.fixed_point_residual(sc, problem, traj, tol=TOL)
+    assert stacks == []  # the last Picard step holds both of its frozen times
+    built = ke.QuasilinearTrajectory(traj.times, traj.states, traj.n_used)
+    assert built == traj  # equal in value, yet it carries no producing step
+    unpickled = pickle.loads(pickle.dumps(traj))
+    assert unpickled._producer is None and unpickled.times == traj.times
+    for args in ((sc, dataclasses.replace(problem), traj),
+                 (dataclasses.replace(sc, caches={}), problem, traj),
+                 (sc, problem, built), (sc, problem, unpickled)):
+        stacks.clear()
+        assert ke.fixed_point_residual(*args, tol=TOL) == residual
+        assert sorted(stacks) == [0.0, 0.125]
+
+
+def test_each_step_takes_only_the_frozen_times_whose_blends_are_byte_equal(
+        qdiff, diff1, monkeypatch):
+    from kato_evolve import quasilinear
+
+    handoffs = []
+    share = quasilinear._share_frozen
+
+    def logged(src, dst, same):
+        share(src, dst, same)
+        held = sorted(t for t in src.caches if not isinstance(t, str))
+        handoffs.append((held, sorted(dst.caches)))
+
+    monkeypatch.setattr(quasilinear, "_share_frozen", logged)
+    problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS, center=workload_center(qdiff))
+    _solve_and_residual(dataclasses.replace(qdiff, caches={}), problem)
+    # steps A (whole horizon) and B, C (half horizon), then the residual:
+    # A and B freeze the center, and C's iterate is B's output, so C shares
+    # B's t = 0 only; the residual's trajectory is C's output, equal to C's
+    # iterate up to and past t = 0.125
+    assert handoffs == [([0.0], [0.0]), ([0.0], [0.0]), ([0.0, 0.125], [0.0, 0.125])]
+    handoffs.clear()
+    problem = ke.norm_coupled_diffusion(diff1, EPS, RADIUS, center=ke.make_profile(diff1, "tilted"))
+    _solve_and_residual(dataclasses.replace(diff1, caches={}), problem)
+    # the three steps on the center share every record; the fourth step's
+    # blend leaves the center after t = 0, so it gets no other time
+    everything = [0.0, 0.25, 0.5, 0.75]
+    assert handoffs == [(everything, everything), (everything, everything),
+                        ([0.0, 0.125, 0.25, 0.5, 0.75], [0.0]), ([0.0, 0.125], [0.0, 0.125])]
+
+
+def test_a_picard_step_drops_the_step_before_once_handed_over(qdiff, monkeypatch):
+    from kato_evolve import quasilinear
+
+    before, alive = [], []
+    share, step = quasilinear._share_frozen, quasilinear._picard_step
+
+    def shared(src, dst, same):
+        before.append(weakref.ref(src))
+        share(src, dst, same)
+
+    monkeypatch.setattr(quasilinear, "_share_frozen", shared)
+    monkeypatch.setattr(quasilinear, "_picard_step", lambda picard, tol: (
+        alive.append(sum(ref() is not None for ref in before)) or step(picard, tol)))
+    problem = ke.norm_coupled_diffusion(qdiff, EPS, RADIUS, center=workload_center(qdiff))
+    traj, _, _ = ke.solve_quasilinear(dataclasses.replace(qdiff, caches={}), problem, tol=TOL)
+    assert len(before) == 2 and alive == [0, 0, 0]
+    assert traj._producer.scenario.caches  # kept for the residual
