@@ -156,12 +156,13 @@ def _freeze(values):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Age profile sampled on grid nodes; ``values`` has shape (n_age+1, d).
 
     Arrays are frozen on construction.  All operations treat states as
-    immutable and return new instances.
+    immutable and return new instances.  Two states are equal when their
+    grids are and their values are entry for entry; states do not hash.
     """
 
     grid: AgeGrid
@@ -182,6 +183,11 @@ class StateVector:
         else:
             object.__setattr__(self, "values", _freeze(arr))
 
+    def __eq__(self, other):
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.values, other.values)
+
     @property
     def dim(self):
         return self.values.shape[1]
@@ -190,13 +196,13 @@ class StateVector:
         return StateVector(self.grid, values)
 
 
-def _sample(evaluate, ages, dim, what, at="", out=None):
+def _sample(evaluate, ages, dim, what, at=""):
     """evaluate(ages) as one (len(ages), d, d) stack, checked once.
 
     A wrong shape or a non-finite entry at any age raises ValidationError;
     the finiteness message names the first bad age.  Overflow inside the
     evaluator is left to that message instead of a warning of its own.
-    The stack is copied into ``out`` when given, else into a new array.
+    The stack is the evaluator's own array, not a copy, and may be read-only.
     """
     ages = np.asarray(ages, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -210,10 +216,7 @@ def _sample(evaluate, ages, dim, what, at="", out=None):
         raise ValidationError(
             f"{what} is not finite at {at}a={float(ages[np.argmin(finite)])!r}"
         )
-    if out is None:
-        return np.array(stack)
-    out[...] = stack
-    return out
+    return stack
 
 
 def _check_lipschitz_t(lipschitz_t):
@@ -241,6 +244,9 @@ class OperatorField:
     t -> A(t, .) in the operator norm; 0.0 marks a field with no time
     dependence: the evolution ladder then stops at one level, but no cached
     result is keyed on it.  ``sample`` is the one checked path to the field.
+    A result of ``evaluate`` must stay unchanged until its next call and is
+    never written into; ``sample`` and ``field(t, a)`` may return it as it is,
+    read-only or not.
     """
 
     dim: int
@@ -252,12 +258,8 @@ class OperatorField:
 
     def sample(self, t, ages):
         """The frozen field A(t, a) at every age in ``ages``, (len(ages), d, d)."""
-        return self._sample_into(t, ages, None)
-
-    def _sample_into(self, t, ages, out):
-        """``sample`` written into ``out``, a (len(ages), d, d) buffer, when given."""
         return _sample(lambda a: self.evaluate(t, a), ages, self.dim,
-                       "operator field", f"t={t!r}, ", out)
+                       "operator field", f"t={t!r}, ")
 
     def __call__(self, t, a):
         return self.sample(t, (a,))[0]
@@ -272,7 +274,8 @@ class BirthKernel:
     """Birth kernel a -> b(a), an entrywise nonnegative d x d matrix.
 
     ``evaluate(ages)`` returns the (len(ages), d, d) stack of b(a) over a
-    1-d float array of ages; ``sample`` is the one checked path to it.
+    1-d float array of ages; ``sample`` is the one checked path to it.  Its
+    results follow ``OperatorField.evaluate``'s contract.
     """
 
     dim: int
@@ -382,7 +385,7 @@ class _KernelRecord:
         matrix-vector product with the weighted profile raveled by node.
         """
         mats = self.birth.sample(self.age_grid.nodes)
-        rows = np.ascontiguousarray(mats.transpose(1, 0, 2).reshape(self.dim, -1))
+        rows = np.array(mats.transpose(1, 0, 2).reshape(self.dim, -1))
         rows.flags.writeable = False
         return rows
 
@@ -951,8 +954,7 @@ def preset_scenario(name, **overrides):
 
 def refine_scenario(scenario, factor):
     """Same physics on an age/time grid refined by an integer factor."""
-    if factor < 1 or int(factor) != factor:
-        raise ValidationError("refinement factor must be a positive integer")
+    _check_count(factor, 1, "refinement factor")
     factor = int(factor)
     return replace(
         scenario,

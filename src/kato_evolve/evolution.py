@@ -6,13 +6,14 @@ resulting product of frozen-time semigroup factors.  Doubling n and watching
 the gap between consecutive levels realizes the limit object: evolution of
 the full non-autonomous problem.
 
-Partition counts are powers of two whose cell length is a whole number of
-age steps, so every approximant is an integer cell schedule on the age
-lattice and the doubling ladder is free of interpolation noise.  Gaps
-sitting at the rounding floor get one extra probe level before being
-trusted: a coefficient field can alias between two partition levels (equal
-samples at the coarse breakpoints) without being time-independent, and the
-probe tells the two situations apart.
+Any divisor n of the horizon's age-step count builds an approximant: its
+cells are whole numbers of age steps, so it is an integer cell schedule on
+the age lattice, free of interpolation noise.  The doubling ladder uses the
+powers of two among those divisors.  Gaps sitting at the rounding floor get
+one extra probe level before being trusted: a coefficient field can alias
+between two partition levels (equal samples at the coarse breakpoints)
+without being time-independent, and the probe tells the two situations
+apart.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _cells(scenario, n, t, s):
     g = scenario.age_grid
     base = _base_steps(scenario)
     if not (isinstance(n, numbers.Integral) and n >= 1 and base % n == 0):
-        compatible = ", ".join(str(m) for m in allowed_partitions(scenario))
+        compatible = ", ".join(str(m) for m in range(1, base + 1) if base % m == 0)
         raise GridAlignmentError(
             f"partition count {n} does not split the horizon into whole age "
             f"steps; compatible counts: {compatible}"

@@ -75,21 +75,23 @@ def _eval_forcing(scenario, forcing, sigma):
         )
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"forcing at sigma={sigma!r} is not finite")
-    return np.array(values, dtype=float)
+    return values
 
 
 def _march(scenario, phi, times, n, forcing=None):
-    """States at each node of ``times``; ``forcing`` adds the half-steps above."""
+    """States at each node of ``times``; ``forcing`` adds the half-steps above,
+    read once per node in time order: only the next step's kick is kept."""
     half = 0.5 * (times[1] - times[0]) if len(times) > 1 else 0.0  # one node: no step
-    f = None if forcing is None else [_eval_forcing(scenario, forcing, t) for t in times]
+    kick = None if forcing is None else half * _eval_forcing(scenario, forcing, times[0])
     states = [phi]
     current = phi
-    for j in range(1, len(times)):
-        if f is not None:
-            current = current.with_values(current.values + half * f[j - 1])
-        current = apply_approximant(scenario, n, times[j], times[j - 1], current)
-        if f is not None:
-            current = current.with_values(current.values + half * f[j])
+    for t_prev, t in zip(times, times[1:]):
+        if kick is not None:
+            current = current.with_values(current.values + kick)
+        current = apply_approximant(scenario, n, t, t_prev, current)
+        if kick is not None:
+            kick = half * _eval_forcing(scenario, forcing, t)
+            current = current.with_values(current.values + kick)
         states.append(current)
     return states
 

@@ -6,11 +6,11 @@ first-order split: exact shift along characteristics, one implicit step of
 the reaction/diffusion field at every node, then the boundary node is
 refilled from the birth quadrature of the profile as it stands (so the
 boundary enters with a one-step lag, the main first-order error source).
-The implicit step samples the field over the whole age grid into one
-buffer kept for the run and takes one batched solve; it caches nothing, so
-every field takes the same path.  A run keeps the state norm of every step
-and the final state only, so its memory does not grow with the number of
-steps.
+The implicit step samples the field over the whole age grid, scales the
+sample into one matrix buffer kept for the run and takes one batched
+solve; it caches nothing, so every field takes the same path.  A run keeps
+the state norm of every step and the final state only, so its memory does
+not grow with the number of steps.
 Agreement with the evolution pipeline under joint refinement is the
 strongest end-to-end evidence the package produces.
 """
@@ -62,8 +62,8 @@ def solve_direct(scenario, phi, t_end):
     keeps its previous value), apply the implicit operator step at every
     node as one batched solve with I - step * A(t_new, a_i), then overwrite
     the boundary node with the birth quadrature of the profile.  The field
-    is sampled into one matrix buffer and the shifted profile written into
-    one right-hand-side buffer, both reused at every step.  Returns the step
+    sample is scaled into one matrix buffer and the shifted profile written
+    into one right-hand-side buffer, both reused at every step.  Returns the step
     times, the state norm at each of them and the final state; a non-finite
     state raises ValidationError at the step that makes it.
     """
@@ -85,8 +85,7 @@ def solve_direct(scenario, phi, t_end):
         t_new = k * step
         shifted[1:, :, 0] = state.values[:-1]
         shifted[0, :, 0] = state.values[0]
-        scenario.operator._sample_into(t_new, nodes, implicit)
-        implicit *= -step
+        np.multiply(scenario.operator.sample(t_new, nodes), -step, out=implicit)
         implicit += eye
         values = np.linalg.solve(implicit, shifted)[:, :, 0]
         values[0] = birth_quadrature(scenario, values)

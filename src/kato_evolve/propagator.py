@@ -111,8 +111,7 @@ def _generators(scenario, t, j_from, j_to):
     squarings and fingerprint the stack for the frozen-time store.
     """
     h = scenario.age_grid.step
-    gens = scenario.operator.sample(t, (np.arange(j_from, j_to) + 0.5) * h)
-    gens *= h
+    gens = scenario.operator.sample(t, (np.arange(j_from, j_to) + 0.5) * h) * h
     return gens, np.abs(gens).sum(axis=1).max(axis=1)
 
 

@@ -51,7 +51,9 @@ class QuasilinearProblem:
     ``operator_of_state(v, t, ages)`` returns the (len(ages), d, d) stack of
     generator matrices felt over the 1-d age array ``ages`` at time t by a
     population whose current profile is v: the contract of
-    ``OperatorField.evaluate`` with the state in front.  ``lipschitz_l``
+    ``OperatorField.evaluate`` with the state in front, reused buffers
+    included: its result must stay unchanged until it is called again, and
+    the library never writes into it.  ``lipschitz_l``
     bounds the state sensitivity of that map in the base norm, and
     ``ball_radius`` and ``ball_center`` fix the trust ball, the state-norm
     ball that every iterate must stay in.  ``lipschitz_t``, when declared,
@@ -153,8 +155,8 @@ def check_lipschitz(problem, scenario, samples=8, seed=0):
         if dv == 0.0:
             continue
         t = float(rng.uniform(0.0, horizon))
-        gaps = (np.asarray(problem.operator_of_state(v1, t, nodes))
-                - np.asarray(problem.operator_of_state(v2, t, nodes)))
+        first = np.array(problem.operator_of_state(v1, t, nodes))  # kept over the next call
+        gaps = first - np.asarray(problem.operator_of_state(v2, t, nodes))
         worst = float(np.max(_matrix_norms(gaps, scenario.norm)))
         observed = max(observed, worst / dv)
     exceeded = observed > problem.lipschitz_l * (1 + 1e-9)
@@ -208,10 +210,10 @@ def continuous_dependence_gap(scenario, a1, a2, phi, s, t, tol=1e-6):
     lhs = _state_distance(scenario, u1, u2)
     taus = np.linspace(s, t, 65)
     nodes = scenario.age_grid.nodes
-    sep = [
-        np.max(_matrix_norms(a1.sample(tau, nodes) - a2.sample(tau, nodes), scenario.norm))
-        for tau in taus
-    ]
+    sep = []
+    for tau in taus:
+        first = np.array(a1.sample(tau, nodes))  # kept over the next call
+        sep.append(np.max(_matrix_norms(first - a2.sample(tau, nodes), scenario.norm)))
     integral = float(np.trapezoid(sep, taus)) if t > s else 0.0
     eta, r_constant = _eta_and_r(scenario)
     rhs = r_constant * math.exp(eta * (t - s)) * graph_state_norm(scenario, phi) * integral
@@ -394,9 +396,7 @@ def norm_coupled_diffusion(scenario, epsilon, radius, center=None):
     )
 
     def operator_of_state(v, t, ages):
-        stack = scenario.operator.sample(t, ages)
-        stack *= 1.0 + epsilon * state_norm(scenario, v)
-        return stack
+        return scenario.operator.sample(t, ages) * (1.0 + epsilon * state_norm(scenario, v))
 
     base_t = scenario.operator.lipschitz_t
     if base_t is not None:

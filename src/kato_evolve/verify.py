@@ -86,7 +86,7 @@ class VerificationReport:
                 {
                     "name": c.name,
                     "status": c.status,
-                    "margin": None if np.isnan(c.margin) else float(c.margin),
+                    "margin": float(c.margin) if np.isfinite(c.margin) else None,
                     "detail": c.detail,
                 }
                 for c in self.checks

@@ -416,8 +416,16 @@ def test_refine_scenario(scal0):
     assert fine.time_grid.n_time == 2000
     assert fine.time_grid.horizon == scal0.time_grid.horizon
     assert fine.label == scal0.label
-    with pytest.raises(ke.ValidationError):
+    with pytest.raises(ke.ValidationError, match="must be at least 1"):
         ke.refine_scenario(scal0, 0)
+    assert ke.refine_scenario(scal0, np.int64(2)).age_grid == fine.age_grid
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), "2", True, 2.0])
+def test_refine_scenario_takes_only_integer_factors(scal0, factor):
+    with pytest.raises(ke.ValidationError,
+                       match=f"^refinement factor must be an integer, got {factor!r}$"):
+        ke.refine_scenario(scal0, factor)
 
 
 def test_operator_time_independent_flag(scal0, diff1):

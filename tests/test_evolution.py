@@ -150,6 +150,14 @@ def test_plan_rejects_a_count_off_the_lattice(diff1):
         ke.approximant_plan(diff1, 3, 0.5, 0.0)
 
 
+def test_count_error_lists_every_divisor_of_the_step_count(scal0):
+    # 1000 age steps: 5 builds an approximant though the ladder never uses it
+    with pytest.raises(ke.GridAlignmentError, match="compatible counts: 1, 2, 4, 5, 8, 10, "
+                       "20, 25, 40, 50, 100, 125, 200, 250, 500, 1000$"):
+        ke.approximant_plan(scal0, 3, 5.0, 0.0)
+    assert ke.approximant_plan(scal0, 5, 5.0, 0.0).times == (0.0, 2.0, 4.0)
+
+
 @pytest.mark.parametrize("n", [0, -2, 2.0, 3])
 def test_partition_count_must_divide_the_horizon(diff1, tilted, n):
     # unchecked, 0 would divide by zero, 2.0 would fail inside range(), and

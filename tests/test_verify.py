@@ -1,5 +1,6 @@
 """Deterministic invariant battery."""
 
+import json
 import math
 
 import pytest
@@ -104,6 +105,10 @@ def test_unconverged_evolution_legs_are_reported_not_raised(qdiff, monkeypatch):
         assert by_name[name].margin == float("-inf")
         assert by_name[name].detail == "no Cauchy acceptance (forced)"
     assert report.failures == 2
+    d = report.as_dict()  # every non-finite margin, the -inf of a failed leg too, is None
+    assert {c["name"] for c in d["checks"] if c["margin"] is None} >= {
+        "cocycle_residual", "evolution_bound_margin"}
+    json.dumps(d, allow_nan=False)
 
 
 def test_unconverged_picard_leg_is_reported_not_raised(qdiff, monkeypatch):
